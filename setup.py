@@ -1,15 +1,22 @@
-"""Setuptools shim.
+"""Setuptools script: ``pip install .`` or ``pip install -e .``.
 
-The project metadata lives in ``pyproject.toml``; this file exists so the
-package can also be installed in environments whose setuptools/pip are too
-old for PEP 660 editable installs (``pip install -e . --no-use-pep517``).
+The version is read from ``src/repro/__init__.py`` so the package
+metadata and ``repro.__version__`` (recorded in every run manifest)
+cannot drift apart.
 """
+
+import re
+from pathlib import Path
 
 from setuptools import find_packages, setup
 
+_INIT = Path(__file__).parent / "src" / "repro" / "__init__.py"
+VERSION = re.search(r'^__version__ = "([^"]+)"', _INIT.read_text(),
+                    re.MULTILINE).group(1)
+
 setup(
     name="repro",
-    version="1.9.0",
+    version=VERSION,
     description=("Pulse-level simulation library reproducing 'Direct "
                  "Conversion Pulsed UWB Transceiver Architecture' "
                  "(Blazquez et al., DATE 2005)"),

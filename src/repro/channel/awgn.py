@@ -134,9 +134,3 @@ class AWGNChannel:
     def apply_snr(self, signal, snr_db: float) -> np.ndarray:
         """Add noise sized to achieve ``snr_db`` against the signal's power."""
         return self.apply(signal, noise_std_for_snr(signal, snr_db))
-
-    def apply_ebn0(self, signal, ebn0_db: float,
-                   energy_per_bit: float) -> np.ndarray:
-        """Add noise sized to achieve ``ebn0_db`` for the given bit energy."""
-        std = noise_std_for_ebn0(energy_per_bit, ebn0_db)
-        return self.apply(signal, std)

@@ -5,7 +5,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import special
 
 from repro.utils.bits import bit_errors
 
@@ -22,6 +21,7 @@ __all__ = [
 
 def qfunc(x) -> np.ndarray:
     """Gaussian Q-function."""
+    from scipy import special
     return 0.5 * special.erfc(np.asarray(x, dtype=float) / np.sqrt(2.0))
 
 

@@ -147,21 +147,6 @@ class _Transceiver:
                                 notch_frequency_hz=notch_frequency_hz,
                                 backend=array_backend)
 
-    def fullstack_model(self, array_backend=None):
-        """Batched full-stack receiver sharing this transceiver's stack.
-
-        Returns a :class:`repro.sim.batch_rx.BatchedFullStackModel` built
-        around this transceiver instance (same transmitter, receiver and
-        hardware-seeded ADC), so batched Monte-Carlo runs are
-        bit-decision-identical to repeating :meth:`simulate_packet` with
-        the same random streams.  Both generations batch end to end:
-        the gen-2 SAR front and the gen-1 4 GHz interleaved-flash front
-        each have whole-batch transmit/channel/AGC/ADC passes.
-        ``array_backend`` selects the array backend the batched stages
-        run on.
-        """
-        from repro.sim.batch_rx import BatchedFullStackModel
-        return BatchedFullStackModel(self, backend=array_backend)
 
 
 class Gen1Transceiver(_Transceiver):

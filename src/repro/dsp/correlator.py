@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import signal as sp_signal
 
 from repro.utils.validation import require_int, require_positive
 
@@ -29,6 +28,7 @@ def sliding_correlation(samples, template) -> np.ndarray:
     buffer (``'valid'`` correlation).  This is what a hardware correlator
     sliding one sample per clock computes.
     """
+    from scipy import signal as sp_signal
     samples = np.asarray(samples)
     template = np.asarray(template)
     if template.size == 0 or samples.size < template.size:
@@ -46,6 +46,7 @@ def normalized_correlation(samples, template) -> np.ndarray:
     independent of the received signal level — the practical detector
     statistic for packet acquisition under unknown gain.
     """
+    from scipy import signal as sp_signal
     samples = np.asarray(samples)
     template = np.asarray(template)
     raw = sliding_correlation(samples, template)

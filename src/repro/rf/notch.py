@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import signal as sp_signal
 
 from repro.utils.validation import require_positive
 
@@ -49,6 +48,7 @@ class AnalogNotchFilter:
 
     def _design(self, sample_rate_hz: float) -> tuple[np.ndarray, np.ndarray]:
         """Design the real-coefficient notch at |notch_frequency_hz|."""
+        from scipy import signal as sp_signal
         nyquist = sample_rate_hz / 2.0
         freq = abs(self.notch_frequency_hz)
         if freq <= 0 or freq >= nyquist:
@@ -59,6 +59,7 @@ class AnalogNotchFilter:
 
     def frequency_response(self, frequencies_hz, sample_rate_hz: float) -> np.ndarray:
         """Complex response at the requested (non-negative) frequencies."""
+        from scipy import signal as sp_signal
         b, a = self._design(sample_rate_hz)
         _, response = sp_signal.freqz(b, a, worN=np.atleast_1d(frequencies_hz),
                                       fs=sample_rate_hz)
@@ -73,6 +74,7 @@ class AnalogNotchFilter:
         shifted back — equivalent to a complex-coefficient notch centred at
         ``notch_frequency_hz``.
         """
+        from scipy import signal as sp_signal
         require_positive(sample_rate_hz, "sample_rate_hz")
         waveform = np.asarray(waveform)
         if not self.enabled:

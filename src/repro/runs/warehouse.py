@@ -336,21 +336,6 @@ class SQLiteResultStore(ResultStore):
             raise
         connection.execute("COMMIT")
 
-    def point_info(self, key: str) -> dict | None:
-        """The recorded point metadata for ``key``, or ``None``."""
-        connection = self._connect(create=False)
-        if connection is None:
-            return None
-        row = connection.execute(
-            "SELECT scenario, modulation, adc_bits, ebn0_db, "
-            "config_digest, payload_bits_per_packet FROM points "
-            "WHERE key = ?", (key,)).fetchone()
-        if row is None:
-            return None
-        return {"scenario": row[0], "modulation": row[1],
-                "adc_bits": row[2], "ebn0_db": row[3],
-                "config_digest": row[4], "payload_bits_per_packet": row[5]}
-
     def register_run(self, name: str, grid_digest: str, num_packets: int,
                      keys) -> int:
         """Record that a run requires ``keys`` (the GC retention unit).

@@ -292,8 +292,13 @@ class ServeServer(ThreadingHTTPServer):
         return f"http://{host}:{port}"
 
     def serve_in_thread(self) -> threading.Thread:
-        """Run ``serve_forever`` on a daemon thread (tests, embedding)."""
+        """Run ``serve_forever`` on a daemon thread (tests, embedding).
+
+        The loop polls every 50 ms (not the 0.5 s default), so
+        ``shutdown()`` returns within one short poll.
+        """
         thread = threading.Thread(target=self.serve_forever,
+                                  kwargs={"poll_interval": 0.05},
                                   name="repro-serve", daemon=True)
         thread.start()
         return thread

@@ -48,7 +48,6 @@ import warnings
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy import signal as sp_signal
 
 from repro.adc.quantizer import UniformQuantizer
 
@@ -131,6 +130,7 @@ class ArrayBackend:
         ``scipy.signal.lfilter`` — recursive filters are a poor fit for
         accelerator vectorization, and the notch runs once per batch.
         """
+        from scipy import signal as sp_signal
         host = sp_signal.lfilter(b, a, self.to_numpy(samples), axis=-1)
         return self.asarray(host)
 
@@ -251,10 +251,12 @@ class NumpyBackend(ArrayBackend):
 
     def fftconvolve_full(self, signals, kernel):
         """``scipy.signal.fftconvolve(..., mode="full", axes=-1)``."""
+        from scipy import signal as sp_signal
         return sp_signal.fftconvolve(signals, kernel, mode="full", axes=-1)
 
     def lfilter(self, b, a, samples):
         """``scipy.signal.lfilter`` along the last axis, in place on host."""
+        from scipy import signal as sp_signal
         return sp_signal.lfilter(b, a, samples, axis=-1)
 
     def symbol_windows(self, samples, positions, length: int):

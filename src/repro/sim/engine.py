@@ -349,11 +349,6 @@ def chunk_spans(num_packets: int, chunk_packets: int | None,
         for start in range(0, num_packets, chunk_packets))
 
 
-#: Backwards-compatible alias from before :func:`chunk_spans` became part
-#: of the public chunk-planning surface (the serve broker plans with it).
-_chunk_spans = chunk_spans
-
-
 #: Test-only fault-injection hook.  When set (in the parent process,
 #: before the worker pool forks), it is called as ``hook(task)``
 #: immediately before every chunk task body — on the serial, pickling-pool
@@ -826,6 +821,8 @@ class SweepEngine:
         recorder = self.recorder
         telemetry = recorder.enabled
         if max_workers is not None and max_workers > 1 and len(rows) > 1:
+            # Workers fork from here: load scipy once, not once per worker.
+            import scipy.signal  # noqa: F401
             if self.shared_memory:
                 records, failure = _run_chunks_shared(
                     prototypes, rows, error_packets, max_workers, recorder)

@@ -8,7 +8,6 @@ stay readable.
 from __future__ import annotations
 
 import numpy as np
-from scipy import signal as sp_signal
 
 __all__ = [
     "signal_energy",
@@ -112,6 +111,7 @@ def downconvert(passband, carrier_hz: float, sample_rate_hz: float,
 
 def _zero_phase_sos(sos: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Apply ``sosfiltfilt`` with a pad length safe for short inputs."""
+    from scipy import signal as sp_signal
     default_padlen = 3 * (2 * sos.shape[0] + 1 - min((sos[:, 2] == 0).sum(),
                                                      (sos[:, 5] == 0).sum()))
     padlen = int(min(default_padlen, max(x.shape[-1] - 2, 0)))
@@ -125,6 +125,7 @@ def lowpass_filter(x, cutoff_hz: float, sample_rate_hz: float,
     Works on real or complex input (the filter is applied to the real and
     imaginary parts separately, which is valid for a real filter kernel).
     """
+    from scipy import signal as sp_signal
     nyquist = sample_rate_hz / 2.0
     if not 0 < cutoff_hz < nyquist:
         raise ValueError(
@@ -141,6 +142,7 @@ def lowpass_filter(x, cutoff_hz: float, sample_rate_hz: float,
 def bandpass_filter(x, low_hz: float, high_hz: float, sample_rate_hz: float,
                     order: int = 4) -> np.ndarray:
     """Zero-phase Butterworth band-pass filter for real or complex input."""
+    from scipy import signal as sp_signal
     nyquist = sample_rate_hz / 2.0
     if not 0 < low_hz < high_hz < nyquist:
         raise ValueError("require 0 < low < high < Nyquist")
@@ -195,6 +197,7 @@ def fractional_delay(x, delay_samples: float, num_taps: int = 63) -> np.ndarray:
 
 def resample_signal(x, up: int, down: int) -> np.ndarray:
     """Polyphase resampling by a rational factor ``up/down``."""
+    from scipy import signal as sp_signal
     if up <= 0 or down <= 0:
         raise ValueError("up and down must be positive integers")
     x = np.asarray(x)
@@ -212,6 +215,7 @@ def estimate_psd(x, sample_rate_hz: float, nperseg: int | None = None,
     power-per-Hz of whatever squared unit ``x`` carries.  Complex input
     produces a two-sided spectrum centred (fftshifted) on 0 Hz.
     """
+    from scipy import signal as sp_signal
     x = np.asarray(x)
     if nperseg is None:
         nperseg = min(x.size, 1024)
