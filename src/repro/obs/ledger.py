@@ -5,10 +5,10 @@ flushes its :class:`~repro.obs.recorder.Recorder` into two artifacts in
 the run directory, next to ``manifest.json``:
 
 ``events.jsonl``
-    The append-only raw ledger — one JSON event per line, appended as a
-    single ``O_APPEND`` write + fsync per batch (the same discipline as
-    the result store), so concurrent shard processes never interleave
-    partial lines and a crash loses at most the final batch.  Because
+    The append-only raw ledger — one JSON event per line, written by
+    the result store's append-log (:func:`repro.utils.io.append_jsonl`),
+    so concurrent shard processes never interleave partial lines and a
+    crash loses at most the final batch.  Because
     the driver flushes in a ``finally`` block, a crashed run still
     leaves the events recorded up to the failure on disk — the partial
     ledger is valid and :func:`EventLedger.read` tolerates a truncated
@@ -31,11 +31,10 @@ ledgers with it.
 from __future__ import annotations
 
 import json
-import os
 from pathlib import Path
 
 from repro.obs.recorder import EVENT_SCHEMA_VERSION
-from repro.utils.io import atomic_write_text
+from repro.utils.io import append_jsonl, atomic_write_text, read_jsonl
 
 __all__ = [
     "LEDGER_NAME",
@@ -55,13 +54,15 @@ SUMMARY_NAME = "telemetry.json"
 _KINDS = ("span", "counter", "gauge")
 
 
-def validate_event(event) -> None:
+def validate_event(event) -> dict:
     """Raise ``ValueError`` unless ``event`` is a valid schema-1 event.
 
     Checks the common envelope (``schema`` == 1, known ``kind``,
     non-empty ``name``, numeric ``ts``, integer ``pid``, dict ``attrs``)
     plus the kind-specific payload (``duration_s`` for spans, ``value``
     for counters and gauges), and that the whole event is JSON-safe.
+    Returns ``event`` itself, so it doubles as the ledger reader's parse
+    step.
     """
     if not isinstance(event, dict):
         raise ValueError(f"event must be a dict, got {type(event).__name__}")
@@ -93,6 +94,7 @@ def validate_event(event) -> None:
         json.dumps(event)
     except (TypeError, ValueError) as error:
         raise ValueError(f"event is not JSON-serializable: {error}") from None
+    return event
 
 
 class EventLedger:
@@ -104,26 +106,13 @@ class EventLedger:
     def append(self, events) -> int:
         """Validate and append a batch of events; returns the count.
 
-        The whole batch goes out as one ``os.write`` on an ``O_APPEND``
-        descriptor followed by fsync — atomic with respect to concurrent
-        shard appenders, durable up to the last completed batch.
+        The whole batch goes out as one append-log write
+        (:func:`repro.utils.io.append_jsonl`) — atomic with respect to
+        concurrent shard appenders, durable up to the last completed
+        batch, and healing a torn tail left by a crashed append.
         """
-        events = list(events)
-        if not events:
-            return 0
-        lines = []
-        for event in events:
-            validate_event(event)
-            lines.append(json.dumps(event, sort_keys=True))
-        payload = "\n".join(lines) + "\n"
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        descriptor = os.open(self.path,
-                             os.O_WRONLY | os.O_CREAT | os.O_APPEND, 0o644)
-        try:
-            os.write(descriptor, payload.encode("utf-8"))
-            os.fsync(descriptor)
-        finally:
-            os.close(descriptor)
+        events = [validate_event(event) for event in events]
+        append_jsonl(self.path, events)
         return len(events)
 
     def read(self) -> tuple[list[dict], int]:
@@ -133,23 +122,8 @@ class EventLedger:
         are skipped and counted, never fatal — mirroring the result
         store's damaged-cache policy.
         """
-        if not self.path.exists():
-            return [], 0
-        events: list[dict] = []
-        corrupt = 0
-        with open(self.path, "r", encoding="utf-8") as handle:
-            for line in handle:
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    event = json.loads(line)
-                    validate_event(event)
-                except (json.JSONDecodeError, ValueError):
-                    corrupt += 1
-                    continue
-                events.append(event)
-        return events, corrupt
+        events, corrupt = read_jsonl(self.path, validate_event)
+        return events, len(corrupt)
 
 
 def summarize(events) -> dict:

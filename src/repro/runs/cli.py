@@ -229,7 +229,7 @@ def _add_grid_arguments(command: argparse.ArgumentParser) -> None:
                               "'packet' the per-packet reference stack "
                               "(default: batch)")
     command.add_argument("--array-backend",
-                         choices=("numpy", "cupy", "jax"), default=None,
+                         choices=("numpy", "jax"), default=None,
                          help="array backend the batch kernel runs on "
                               "(default: the REPRO_ARRAY_BACKEND "
                               "environment variable, else numpy); an "

@@ -42,7 +42,8 @@ from repro.runs.store import (STORE_FORMATS, ResultStore,
 from repro.utils.io import atomic_write_text
 from repro.utils.validation import require_int
 
-__all__ = ["RunManifest", "RunReport", "RunDriver"]
+__all__ = ["PointPlan", "RunManifest", "RunReport", "RunDriver",
+           "assemble_curve", "plan_point"]
 
 _MANIFEST_VERSION = 1
 _MANIFEST_NAME = "manifest.json"
@@ -56,17 +57,62 @@ def _code_version() -> str:
     return getattr(repro, "__version__", "unknown")
 
 
-def _point_to_dict(point: SweepPoint) -> dict:
-    return {"ebn0_db": float(point.ebn0_db), "scenario": point.scenario,
-            "modulation": point.modulation, "adc_bits": point.adc_bits}
+@dataclass(frozen=True)
+class PointPlan:
+    """How far a store already measures one grid point.
+
+    ``cached`` is the pooled hit; otherwise ``missing`` lists the chunk
+    spans still to simulate.  The counts are the stored work it reuses.
+    """
+
+    cached: BERPoint | None
+    missing: tuple[tuple[int, int], ...] = ()
+    chunks_resumed: int = 0
+    packets_stored: int = 0
 
 
-def _point_from_dict(data: dict) -> SweepPoint:
-    adc_bits = data["adc_bits"]
-    return SweepPoint(ebn0_db=float(data["ebn0_db"]),
-                      scenario=str(data["scenario"]),
-                      modulation=str(data["modulation"]),
-                      adc_bits=None if adc_bits is None else int(adc_bits))
+def plan_point(store: ResultStore, key: str, num_packets: int,
+               chunk_packets: int | None) -> PointPlan:
+    """Plan one point's ``num_packets`` budget against ``store``.
+
+    The planning rule of both :meth:`RunDriver.run_shard` and the fleet
+    broker: a store hit needs no work; otherwise the uncovered tail is
+    split into the ``chunk_packets`` layout and spans already stored
+    (even beyond a coverage gap) drop out.
+    """
+    cached = store.lookup(key, num_packets)
+    if cached is not None:
+        return PointPlan(cached=cached, packets_stored=cached.packets_sent)
+    covered = store.coverage(key)
+    stored = store.chunks_for(key)
+    spans = chunk_spans(num_packets - covered, chunk_packets, covered)
+    missing = tuple((offset, packets) for offset, packets in spans
+                    if stored.get(offset) != packets)
+    return PointPlan(
+        cached=None, missing=missing,
+        chunks_resumed=len(spans) - len(missing),
+        packets_stored=covered + sum(packets
+                                     for offset, packets in stored.items()
+                                     if offset >= covered))
+
+
+def assemble_curve(store: ResultStore, keyed_points, num_packets: int
+                   ) -> tuple[SweepResult, list[SweepPoint]]:
+    """Pool each ``(point, key)``'s stored chunks, in order.
+
+    Returns the result of every point covering ``num_packets`` and the
+    points that do not yet.  :meth:`RunDriver.merge` and the broker's
+    curves share it, so a fleet curve is bit-identical to a local run.
+    """
+    result = SweepResult()
+    missing = []
+    for point, key in keyed_points:
+        measurement = store.lookup(key, num_packets)
+        if measurement is None:
+            missing.append(point)
+        else:
+            result.entries.append((point, measurement))
+    return result, missing
 
 
 @dataclass(frozen=True)
@@ -146,7 +192,7 @@ class RunManifest:
         """
         import hashlib
         payload = json.dumps({
-            "points": [_point_to_dict(point) for point in self.points],
+            "points": [point.to_dict() for point in self.points],
             "config": self.config_digest,
             "payload_bits_per_packet": self.payload_bits_per_packet,
         }, sort_keys=True)
@@ -190,7 +236,7 @@ class RunManifest:
             "array_backend": self.array_backend,
             "chunk_packets": self.chunk_packets,
             "store_format": self.store_format,
-            "points": [_point_to_dict(point) for point in self.points],
+            "points": [point.to_dict() for point in self.points],
         }
 
     @classmethod
@@ -216,7 +262,7 @@ class RunManifest:
                 chunk_packets=(None if data.get("chunk_packets") is None
                                else int(data["chunk_packets"])),
                 store_format=str(data.get("store_format", "jsonl")),
-                points=tuple(_point_from_dict(point)
+                points=tuple(SweepPoint.from_dict(point)
                              for point in data["points"]))
         except (KeyError, TypeError) as error:
             raise ValueError(f"malformed run manifest: {error}") from None
@@ -544,34 +590,25 @@ class RunDriver:
         payload_bits = manifest.payload_bits_per_packet
 
         resolved: dict[int, BERPoint] = {}
-        jobs: list[tuple[int, SweepPoint, str, int]] = []
+        simulated: dict[int, str] = {}  # point index -> key
         chunk_jobs: list[tuple[SweepPoint, int, int]] = []
         key_by_point: dict[SweepPoint, str] = {}
         chunks_resumed = 0
         for index, point in enumerate(points):
             key = self._key_for(point)
             key_by_point[point] = key
-            cached = store.lookup(key, requested)
-            if cached is not None:
-                resolved[index] = cached
+            plan = plan_point(store, key, requested, manifest.chunk_packets)
+            report.packets_cached += plan.packets_stored
+            if plan.cached is not None:
+                resolved[index] = plan.cached
                 report.points_cached += 1
-                report.packets_cached += cached.packets_sent
                 continue
-            covered = store.coverage(key)
-            stored = store.chunks_for(key)
-            spans = chunk_spans(requested - covered,
-                                manifest.chunk_packets, covered)
-            missing = [(offset, packets) for offset, packets in spans
-                       if stored.get(offset) != packets]
-            chunks_resumed += len(spans) - len(missing)
-            jobs.append((index, point, key, covered))
+            chunks_resumed += plan.chunks_resumed
+            simulated[index] = key
             chunk_jobs.extend((point, packets, offset)
-                              for offset, packets in missing)
-            report.packets_cached += covered + sum(
-                packets for offset, packets in stored.items()
-                if offset >= covered)
+                              for offset, packets in plan.missing)
         recorder.counter("cache.points_hit", report.points_cached)
-        recorder.counter("cache.points_missed", len(jobs))
+        recorder.counter("cache.points_missed", len(simulated))
         recorder.counter("cache.chunks_resumed", chunks_resumed)
         recorder.counter("cache.packets_cached", report.packets_cached)
         if on_plan is not None:
@@ -597,12 +634,11 @@ class RunDriver:
                 max_workers=max_workers, chunk_packets=requested,
                 on_chunk=persist)
 
-        for index, point, key, covered in jobs:
+        for index, key in simulated.items():
             resolved[index] = store.lookup(key, requested)
             report.points_simulated += 1
 
         if on_point is not None:
-            simulated = {index for index, *_ in jobs}
             for index, point in enumerate(points):
                 source = "simulated" if index in simulated else "cached"
                 on_point(point, resolved[index], source)
@@ -717,19 +753,13 @@ class RunDriver:
         (default) a missing point raises; ``strict=False`` returns the
         measured subset (useful for eyeballing a run in flight).
         """
-        store = self.open_store()
-        entries = []
-        missing = []
-        for point in self.manifest.points:
-            measurement = store.lookup(self._key_for(point),
-                                       self.manifest.num_packets)
-            if measurement is None:
-                missing.append(point)
-            else:
-                entries.append((point, measurement))
+        result, missing = assemble_curve(
+            self.open_store(),
+            ((point, self._key_for(point)) for point in self.manifest.points),
+            self.manifest.num_packets)
         if missing and strict:
             raise ValueError(
                 f"{len(missing)} of {len(self.manifest.points)} point(s) "
                 f"are not fully measured yet (e.g. {missing[0]}); run the "
                 "pending shards or merge with strict=False")
-        return SweepResult(entries=entries)
+        return result

@@ -20,11 +20,11 @@ Two persistence backends implement the same store contract
 ``tests/runs/store_contract.py``):
 
 ``"jsonl"`` (this module, the historical default)
-    Append-only JSONL — one record per line, one file per writer — with
-    each append issued as a single ``write`` on an ``O_APPEND``
-    descriptor followed by fsync, so concurrent shard processes never
-    interleave partial lines and a crash can at worst lose the final
-    record.
+    Append-only JSONL — one record per line, one file per writer —
+    written through the package's one append-log
+    (:func:`repro.utils.io.append_jsonl`), so concurrent shard processes
+    never interleave partial lines, a crash can at worst lose the final
+    record, and a torn tail is healed before the next append.
 ``"sqlite"`` (:mod:`repro.runs.warehouse`)
     A single WAL-mode SQLite database with transactional multi-chunk
     ingest and indexed point metadata powering cross-run queries,
@@ -53,6 +53,7 @@ from pathlib import Path
 
 from repro.core.metrics import BERPoint
 from repro.obs.recorder import active
+from repro.utils.io import append_jsonl, read_jsonl
 
 __all__ = [
     "ResultStore",
@@ -235,18 +236,11 @@ class ResultStore:
             self._load_file(path)
 
     def _load_file(self, path: Path) -> None:
-        with open(path, "r", encoding="utf-8") as handle:
-            for line_number, line in enumerate(handle, start=1):
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    chunk = StoredChunk.from_record(json.loads(line))
-                except (json.JSONDecodeError, ValueError) as error:
-                    self._note_corrupt_record(
-                        f"{path.name}:{line_number}", error)
-                    continue
-                self._index(chunk)
+        chunks, corrupt = read_jsonl(path, StoredChunk.from_record)
+        for line_number, error in corrupt:
+            self._note_corrupt_record(f"{path.name}:{line_number}", error)
+        for chunk in chunks:
+            self._index(chunk)
 
     def _note_corrupt_record(self, location: str, error) -> None:
         # One warning + one telemetry tick per damaged record, shared by
@@ -259,14 +253,12 @@ class ResultStore:
         active().counter("store.corrupt_lines", backend=self.format)
 
     def _index(self, chunk: StoredChunk) -> None:
-        chunks = self._chunks.setdefault(chunk.key, [])
         # Replays (the same chunk appended by a re-run shard, or the same
         # file loaded via reload) are idempotent.
-        for existing in chunks:
-            if existing.packet_offset == chunk.packet_offset:
-                return
-        chunks.append(chunk)
-        chunks.sort(key=lambda c: c.packet_offset)
+        if self._existing_chunk(chunk) is None:
+            chunks = self._chunks.setdefault(chunk.key, [])
+            chunks.append(chunk)
+            chunks.sort(key=lambda c: c.packet_offset)
 
     # ------------------------------------------------------------------
     # Queries
@@ -413,15 +405,6 @@ class ResultStore:
 
     def _persist(self, chunks: list[StoredChunk]) -> None:
         # The JSONL backend's write primitive: the whole batch as one
-        # O_APPEND write + fsync on this store's writer file.
-        text = "".join(json.dumps(chunk.to_record(), sort_keys=True) + "\n"
-                       for chunk in chunks)
-        self.directory.mkdir(parents=True, exist_ok=True)
-        path = self.directory / self.writer_name
-        descriptor = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_APPEND,
-                             0o644)
-        try:
-            os.write(descriptor, text.encode("utf-8"))
-            os.fsync(descriptor)
-        finally:
-            os.close(descriptor)
+        # append-log write on this store's writer file.
+        append_jsonl(self.directory / self.writer_name,
+                     [chunk.to_record() for chunk in chunks])

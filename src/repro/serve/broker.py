@@ -1,13 +1,11 @@
 """The sweep broker: grids in, chunk leases out, curves assembled.
 
-The broker is the service-side twin of :class:`repro.runs.RunDriver`:
-it plans work the exact same way — per-point
-:func:`repro.runs.store.measurement_key` content addresses, the
-uncovered tail decomposed with :func:`repro.sim.engine.chunk_spans`,
-already-stored chunks skipped — but instead of simulating the missing
-chunks itself it queues them as :class:`ChunkTask` units and hands them
-to pull-based workers under time-limited leases
-(:class:`repro.serve.leases.LeaseTable`).
+The broker is the service-side twin of :class:`repro.runs.RunDriver`
+and shares its planner (:func:`repro.runs.driver.plan_point`) and curve
+assembler (:func:`repro.runs.driver.assemble_curve`), but instead of
+simulating the missing chunks itself it queues them as
+:class:`ChunkTask` units and hands them to pull-based workers under
+time-limited leases (:class:`repro.serve.leases.LeaseTable`).
 
 Because tasks are keyed by ``(measurement key, packet offset)`` they are
 shared *across jobs*: two clients submitting overlapping grids against
@@ -44,10 +42,11 @@ from pathlib import Path
 
 from repro.core.metrics import BERPoint
 from repro.obs.recorder import Recorder, activate
+from repro.runs.driver import assemble_curve, plan_point
 from repro.runs.store import ResultStore, measurement_key
 from repro.serve.journal import JOURNAL_NAME, BrokerJournal
 from repro.serve.leases import LeaseTable, UnknownLeaseError
-from repro.sim.engine import SweepEngine, SweepPoint, SweepResult, chunk_spans
+from repro.sim.engine import SweepEngine, SweepPoint, SweepResult
 
 __all__ = ["Broker", "BrokerDrainingError", "BrokerError", "ChunkTask",
            "CommitConflictError", "JobSpec", "UnknownJobError",
@@ -63,7 +62,7 @@ def result_from_curve_payload(payload: dict) -> SweepResult:
     """
     result = SweepResult()
     for entry in payload.get("points", ()):
-        result.entries.append((_point_from_dict(entry["point"]),
+        result.entries.append((SweepPoint.from_dict(entry["point"]),
                                BERPoint.from_dict(entry["measurement"])))
     return result
 
@@ -98,27 +97,6 @@ def _id_serial(identifier: str) -> int:
         return 0
 
 
-def _point_to_dict(point: SweepPoint) -> dict:
-    return {"ebn0_db": float(point.ebn0_db), "scenario": point.scenario,
-            "modulation": point.modulation, "adc_bits": point.adc_bits}
-
-
-def _point_from_dict(data) -> SweepPoint:
-    if not isinstance(data, dict):
-        raise BrokerError("each grid point must be an object with "
-                          "ebn0_db/scenario/modulation/adc_bits")
-    try:
-        adc_bits = data.get("adc_bits")
-        return SweepPoint(
-            ebn0_db=float(data["ebn0_db"]),
-            scenario=str(data.get("scenario", "awgn")),
-            modulation=str(data.get("modulation", "bpsk")),
-            adc_bits=None if adc_bits is None else int(adc_bits))
-    except (KeyError, TypeError, ValueError) as error:
-        raise BrokerError(f"malformed grid point {data!r}: {error}") \
-            from None
-
-
 @dataclass(frozen=True)
 class JobSpec:
     """One submitted grid: the points plus everything that shapes results.
@@ -149,10 +127,10 @@ class JobSpec:
         points_data = data.get("points")
         if not isinstance(points_data, list) or not points_data:
             raise BrokerError("job spec needs a non-empty 'points' list")
-        points = tuple(_point_from_dict(entry) for entry in points_data)
         try:
             spec = cls(
-                points=points,
+                points=tuple(SweepPoint.from_dict(entry)
+                             for entry in points_data),
                 num_packets=int(data.get("num_packets", 32)),
                 payload_bits_per_packet=int(
                     data.get("payload_bits_per_packet", 64)),
@@ -184,7 +162,7 @@ class JobSpec:
 
     def to_dict(self) -> dict:
         """The submission payload this spec round-trips through."""
-        return {"points": [_point_to_dict(point) for point in self.points],
+        return {"points": [point.to_dict() for point in self.points],
                 "num_packets": self.num_packets,
                 "payload_bits_per_packet": self.payload_bits_per_packet,
                 "chunk_packets": self.chunk_packets,
@@ -233,7 +211,7 @@ class ChunkTask:
     def descriptor(self) -> dict:
         """The self-contained work order a worker receives with a lease."""
         return {"task_id": self.task_id,
-                "point": _point_to_dict(self.point),
+                "point": self.point.to_dict(),
                 "packet_offset": self.packet_offset,
                 "num_packets": self.num_packets,
                 "payload_bits_per_packet": self.payload_bits_per_packet,
@@ -391,16 +369,11 @@ class Broker:
                                   config_digest,
                                   spec.payload_bits_per_packet)
             keys.append(key)
-            if self.store.lookup(key, requested) is not None:
+            plan = plan_point(self.store, key, requested,
+                              spec.chunk_packets)
+            if plan.cached is not None:
                 points_cached += 1
-                continue
-            covered = self.store.coverage(key)
-            stored = self.store.chunks_for(key)
-            spans = chunk_spans(requested - covered,
-                                spec.chunk_packets, covered)
-            missing = [(offset, packets) for offset, packets in spans
-                       if stored.get(offset) != packets]
-            for offset, packets in missing:
+            for offset, packets in plan.missing:
                 task_id = f"{key}:{offset}"
                 task = self._tasks.get(task_id)
                 if task is not None and task.state != "failed":
@@ -718,19 +691,16 @@ class Broker:
                         break
                     if not self._changed.wait(timeout=remaining):
                         break
-            requested = job.spec.num_packets
-            entries = []
-            for point, key in zip(job.spec.points, job.keys):
-                measurement = self.store.lookup(key, requested)
-                if measurement is not None:
-                    entries.append((point, measurement))
+            result, missing = assemble_curve(
+                self.store, zip(job.spec.points, job.keys),
+                job.spec.num_packets)
             descriptor = self._job_descriptor(job)
-            descriptor["points_measured"] = len(entries)
-            descriptor["complete"] = len(entries) == len(job.spec.points)
+            descriptor["points_measured"] = len(result.entries)
+            descriptor["complete"] = not missing
             descriptor["points"] = [
-                {"point": _point_to_dict(point),
+                {"point": point.to_dict(),
                  "measurement": measurement.to_dict()}
-                for point, measurement in entries]
+                for point, measurement in result.entries]
             return descriptor
 
     def result(self, job_id: str) -> SweepResult:

@@ -4,12 +4,11 @@ The broker's queue — submitted :class:`~repro.serve.broker.JobSpec`\\ s,
 task attempt counts, lease grants, terminal failures — used to live
 only in memory; a broker crash dropped every queued job even though the
 committed chunks themselves are durable in the content-addressed store.
-``journal.jsonl`` closes that gap with the same write discipline as the
-result store and :class:`repro.obs.ledger.EventLedger`: every record is
-one JSON line, appended with a single ``os.write`` on an ``O_APPEND``
-descriptor followed by ``fsync``, so concurrent appends never interleave
-partial lines and a crash tears at worst the final line — which
-:meth:`BrokerJournal.read` skips and counts, never fatal.
+``journal.jsonl`` closes that gap with the append-log the result store
+and :class:`repro.obs.ledger.EventLedger` share
+(:func:`repro.utils.io.append_jsonl`): one JSON line per record, so a
+crash tears at worst the final line — which :meth:`BrokerJournal.read`
+skips and counts, never fatal.
 
 The journal is a *redo log of intent*, not a state snapshot: recovery
 (:meth:`repro.serve.Broker` with ``state_dir=``) replays the records
@@ -48,8 +47,9 @@ Record kinds (all carry ``schema`` + ``kind``):
 from __future__ import annotations
 
 import json
-import os
 from pathlib import Path
+
+from repro.utils.io import append_jsonl, read_jsonl
 
 __all__ = ["JOURNAL_NAME", "JOURNAL_SCHEMA_VERSION", "BrokerJournal",
            "validate_record"]
@@ -72,12 +72,13 @@ _REQUIRED_FIELDS = {
 }
 
 
-def validate_record(record) -> None:
+def validate_record(record) -> dict:
     """Raise ``ValueError`` unless ``record`` is a valid journal record.
 
     Checks the envelope (``schema`` pin, known ``kind``), the
     kind-specific required fields, and JSON-serializability — the single
-    source of truth both the appender and the replayer trust.
+    source of truth both the appender and the replayer trust.  Returns
+    ``record`` itself, so it doubles as the journal reader's parse step.
     """
     if not isinstance(record, dict):
         raise ValueError(
@@ -105,14 +106,15 @@ def validate_record(record) -> None:
     except (TypeError, ValueError) as error:
         raise ValueError(
             f"journal record is not JSON-serializable: {error}") from None
+    return record
 
 
 class BrokerJournal:
     """The append-only ``journal.jsonl`` of one broker state directory.
 
-    Writes are validated, serialized with sorted keys, and flushed with
-    the store's ``O_APPEND`` + ``fsync`` discipline; reads tolerate (and
-    count) a torn tail line from a crashed append.
+    Writes are validated, serialized with sorted keys, and flushed
+    through the store's append-log; reads tolerate (and count) a torn
+    tail line from a crashed append.
     """
 
     def __init__(self, path) -> None:
@@ -127,45 +129,16 @@ class BrokerJournal:
     def append(self, records) -> int:
         """Validate and append a batch of records; returns the count.
 
-        The whole batch goes out as one ``os.write`` on an ``O_APPEND``
-        descriptor followed by ``fsync`` — atomic with respect to
+        The whole batch goes out as one append-log write
+        (:func:`repro.utils.io.append_jsonl`) — atomic with respect to
         concurrent appenders, durable up to the last completed batch.
-
-        Unlike the run ledger (one writer, one run), the journal is
-        re-opened for appending after a crash, so a torn tail left
-        without its newline would glue the next record onto the corrupt
-        bytes and destroy it too.  The first append to a file whose last
-        byte is not a newline therefore terminates the torn line first,
-        confining the damage to the line that was already lost.
+        The journal is re-opened for appending after a crash; the
+        append-log terminates a torn tail line first, so the damage
+        stays confined to the line that was already lost.
         """
-        records = list(records)
-        if not records:
-            return 0
-        lines = []
-        for record in records:
-            validate_record(record)
-            lines.append(json.dumps(record, sort_keys=True))
-        payload = "\n".join(lines) + "\n"
-        if self._tail_is_torn():
-            payload = "\n" + payload
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        descriptor = os.open(self.path,
-                             os.O_WRONLY | os.O_CREAT | os.O_APPEND, 0o644)
-        try:
-            os.write(descriptor, payload.encode("utf-8"))
-            os.fsync(descriptor)
-        finally:
-            os.close(descriptor)
+        records = [validate_record(record) for record in records]
+        append_jsonl(self.path, records)
         return len(records)
-
-    def _tail_is_torn(self) -> bool:
-        """Whether the file ends mid-line (crashed append, no newline)."""
-        try:
-            with open(self.path, "rb") as handle:
-                handle.seek(-1, os.SEEK_END)
-                return handle.read(1) != b"\n"
-        except (OSError, ValueError):
-            return False  # missing or empty file: nothing to heal
 
     def read(self) -> tuple[list[dict], int]:
         """Load the journal; returns ``(records, corrupt_count)``.
@@ -175,20 +148,5 @@ class BrokerJournal:
         final grant or requeue record costs at most one redundant (and
         bit-identical) chunk re-execution, exactly like a worker death.
         """
-        if not self.path.exists():
-            return [], 0
-        records: list[dict] = []
-        corrupt = 0
-        with open(self.path, "r", encoding="utf-8") as handle:
-            for line in handle:
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    record = json.loads(line)
-                    validate_record(record)
-                except (json.JSONDecodeError, ValueError):
-                    corrupt += 1
-                    continue
-                records.append(record)
-        return records, corrupt
+        records, corrupt = read_jsonl(self.path, validate_record)
+        return records, len(corrupt)

@@ -9,10 +9,6 @@ runs on
 * :class:`NumpyBackend` — the reference implementation.  Delegates
   straight to ``numpy``/``scipy`` and is **bit-identical** to the
   historical module-level ``np`` code path (golden-fixture guarded).
-* :class:`CupyBackend` — CUDA GPUs via `CuPy <https://cupy.dev>`_, when
-  ``cupy`` is importable.  Waveform-scale operations stay on the device;
-  the IIR notch falls back to the host when ``cupyx.scipy.signal`` does
-  not provide ``lfilter``.
 * :class:`JaxBackend` — CPU/GPU/TPU via `JAX <https://jax.dev>`_, when
   ``jax`` is importable.  Enables 64-bit mode for parity with the NumPy
   reference; the IIR notch and the uniform quantizer reference run on
@@ -30,7 +26,7 @@ not bit-for-bit.
 Select a backend explicitly::
 
     from repro.sim import SweepEngine
-    engine = SweepEngine(array_backend="cupy")      # raises if no cupy
+    engine = SweepEngine(array_backend="jax")       # raises if no jax
 
 or ambiently::
 
@@ -54,7 +50,6 @@ from repro.adc.quantizer import UniformQuantizer
 __all__ = [
     "ArrayBackend",
     "NumpyBackend",
-    "CupyBackend",
     "JaxBackend",
     "available_backends",
     "get_backend",
@@ -70,7 +65,7 @@ class ArrayBackend:
     """The array namespace and helper operations the batched kernel uses.
 
     Subclasses set :attr:`xp` to an array-API-style module (``numpy``,
-    ``cupy``, ``jax.numpy``) and override the helpers whose accelerated
+    ``jax.numpy``) and override the helpers whose accelerated
     form differs from the generic implementation.  The generic
     implementations below are written against ``self.xp`` only, so a
     minimal subclass just provides ``xp`` plus host transfer.
@@ -78,7 +73,7 @@ class ArrayBackend:
     Attributes
     ----------
     name:
-        Registry name (``"numpy"``, ``"cupy"``, ``"jax"``), also what
+        Registry name (``"numpy"``, ``"jax"``), also what
         :class:`repro.sim.SweepEngine` records in config digests.
     xp:
         The backend's array namespace module.
@@ -303,115 +298,6 @@ class NumpyBackend(ArrayBackend):
         return rng if rng is not None else np.random.default_rng()
 
 
-class _SeededDeviceSource:
-    """Adapter exposing ``integers``/``standard_normal`` on a device RNG,
-    falling back to host draws + transfer when the device generator lacks
-    a method (keeps older accelerator releases working)."""
-
-    def __init__(self, backend: ArrayBackend, device_rng,
-                 host_rng: np.random.Generator) -> None:
-        self._backend = backend
-        self._device_rng = device_rng
-        self._host_rng = host_rng
-
-    def integers(self, low, high=None, size=None, dtype=np.int64):
-        """Uniform integers in ``[low, high)`` as a device array."""
-        try:
-            draw = self._device_rng.integers(low, high, size=size)
-        except (AttributeError, TypeError):
-            return self._backend.asarray(
-                self._host_rng.integers(low, high, size=size, dtype=dtype))
-        return self._backend.asarray(draw, dtype=dtype)
-
-    def standard_normal(self, size=None):
-        """Standard normal draws as a device array."""
-        try:
-            return self._device_rng.standard_normal(size=size)
-        except (AttributeError, TypeError):
-            return self._backend.asarray(
-                self._host_rng.standard_normal(size=size))
-
-
-class CupyBackend(ArrayBackend):
-    """CUDA backend backed by ``cupy`` (import-gated).
-
-    Waveform-scale operations (synthesis, convolution, noise, matched
-    filtering, quantization) run on the GPU; ray bookkeeping and the
-    modulator symbol maps stay on the host where they are O(packets), not
-    O(samples).  Random streams are device-native, seeded from the host
-    generator, so results agree with NumPy statistically rather than
-    bit-for-bit.
-    """
-
-    name = "cupy"
-
-    def __init__(self) -> None:
-        try:
-            import cupy
-        except ImportError as error:
-            raise ImportError(
-                "the 'cupy' array backend needs CuPy (pip install "
-                "cupy-cuda12x for CUDA 12); use array_backend='numpy' or "
-                "unset REPRO_ARRAY_BACKEND") from error
-        # CuPy importing is not enough — without a usable CUDA device the
-        # first kernel launch would die deep in the sweep.  Raise the same
-        # ImportError the registry's fallback path understands.
-        try:
-            device_count = cupy.cuda.runtime.getDeviceCount()
-        except Exception as error:
-            raise ImportError(
-                "cupy imports but CUDA is unusable "
-                f"({type(error).__name__}: {error}); use "
-                "array_backend='numpy' or unset "
-                "REPRO_ARRAY_BACKEND") from error
-        if device_count < 1:
-            raise ImportError(
-                "cupy imports but no CUDA device is visible; use "
-                "array_backend='numpy' or unset REPRO_ARRAY_BACKEND")
-        self.xp = cupy
-        self._cupy = cupy
-        try:
-            from cupyx.scipy import signal as cupyx_signal
-        except ImportError:
-            cupyx_signal = None
-        self._signal = cupyx_signal
-
-    @classmethod
-    def is_available(cls) -> bool:
-        """True when ``cupy`` imports and sees at least one CUDA device."""
-        try:
-            import cupy
-            return cupy.cuda.runtime.getDeviceCount() > 0
-        except Exception:
-            return False
-
-    def to_numpy(self, array) -> np.ndarray:
-        """Device-to-host copy via ``cupy.asnumpy``."""
-        return self._cupy.asnumpy(array)
-
-    def fftconvolve_full(self, signals, kernel):
-        """``cupyx.scipy.signal.fftconvolve`` when present, else generic FFT."""
-        if self._signal is not None and hasattr(self._signal, "fftconvolve"):
-            return self._signal.fftconvolve(signals, kernel, mode="full",
-                                            axes=-1)
-        return super().fftconvolve_full(signals, kernel)
-
-    def lfilter(self, b, a, samples):
-        """``cupyx.scipy.signal.lfilter`` when present, else host fallback."""
-        if self._signal is not None and hasattr(self._signal, "lfilter"):
-            return self._signal.lfilter(
-                self.asarray(np.asarray(b)), self.asarray(np.asarray(a)),
-                samples, axis=-1)
-        return super().lfilter(b, a, samples)
-
-    def random_source(self, rng: np.random.Generator | None):
-        """A device generator seeded from the host generator's stream."""
-        host = rng if rng is not None else np.random.default_rng()
-        seed = int(host.integers(0, 2 ** 63 - 1))
-        return _SeededDeviceSource(self, self._cupy.random.default_rng(seed),
-                                   np.random.default_rng(seed))
-
-
 class _JaxRandomSource:
     """Functional JAX PRNG behind the imperative draw interface the
     kernel expects (one key split per draw)."""
@@ -493,7 +379,6 @@ class JaxBackend(ArrayBackend):
 
 _REGISTRY: dict[str, type[ArrayBackend]] = {
     NumpyBackend.name: NumpyBackend,
-    CupyBackend.name: CupyBackend,
     JaxBackend.name: JaxBackend,
 }
 _INSTANCES: dict[str, ArrayBackend] = {}
@@ -579,7 +464,7 @@ def get_backend(backend=None, strict: bool = True) -> ArrayBackend:
         When the backend's library is missing: ``True`` raises the
         underlying ``ImportError``; ``False`` warns and falls back to
         NumPy.  Environment-variable resolution is never strict, so an
-        exported ``REPRO_ARRAY_BACKEND=cupy`` cannot break a
+        exported ``REPRO_ARRAY_BACKEND=jax`` cannot break a
         CPU-only machine.
     """
     if isinstance(backend, ArrayBackend):

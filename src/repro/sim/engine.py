@@ -20,7 +20,7 @@ measurements — use different seeds (or engines) to replicate a point.
 
 Array backends: the batch kernel's array operations run on a pluggable
 :class:`repro.sim.backends.ArrayBackend` — NumPy (reference,
-bit-identical to the historical code), CuPy, or JAX — selected with
+bit-identical to the historical code) or JAX — selected with
 ``array_backend=`` or the ``REPRO_ARRAY_BACKEND`` environment variable.
 
 Parallelism: the schedulable unit is the seeded *packet chunk* — a
@@ -94,6 +94,41 @@ class SweepPoint:
     def curve_key(self) -> tuple[str, str, int | None]:
         """Grouping key: all points sharing it belong to one BER curve."""
         return (self.scenario, self.modulation, self.adc_bits)
+
+    def to_dict(self) -> dict:
+        """Plain-type mapping (run manifests, job specs, curve payloads)."""
+        return {"ebn0_db": float(self.ebn0_db), "scenario": self.scenario,
+                "modulation": self.modulation, "adc_bits": self.adc_bits}
+
+    @classmethod
+    def from_dict(cls, data) -> "SweepPoint":
+        """Parse a :meth:`to_dict` mapping from outside input.
+
+        ``scenario``, ``modulation`` and ``adc_bits`` default like the
+        constructor.  Raises ``ValueError`` unless ``data`` is an object
+        with a finite numeric ``ebn0_db``, string ``scenario`` and
+        ``modulation``, and an integer (or null) ``adc_bits``.
+        """
+        if not isinstance(data, dict):
+            raise ValueError("each grid point must be an object with "
+                             "ebn0_db/scenario/modulation/adc_bits")
+        ebn0_db = data.get("ebn0_db")
+        scenario = data.get("scenario", "awgn")
+        modulation = data.get("modulation", "bpsk")
+        adc_bits = data.get("adc_bits")
+        if isinstance(ebn0_db, bool) \
+                or not isinstance(ebn0_db, (int, float)) \
+                or not np.isfinite(ebn0_db):
+            problem = f"ebn0_db must be a finite number, got {ebn0_db!r}"
+        elif not (isinstance(scenario, str) and isinstance(modulation, str)):
+            problem = "scenario and modulation must be strings"
+        elif adc_bits is not None and (isinstance(adc_bits, bool)
+                                       or not isinstance(adc_bits, int)):
+            problem = f"adc_bits must be an integer or null, not {adc_bits!r}"
+        else:
+            return cls(ebn0_db=float(ebn0_db), scenario=scenario,
+                       modulation=modulation, adc_bits=adc_bits)
+        raise ValueError(f"malformed grid point {data!r}: {problem}")
 
 
 def sweep_grid(ebn0_values_db, scenarios=("awgn",), modulations=("bpsk",),
@@ -605,7 +640,7 @@ class SweepEngine:
         Array backend the batch kernel runs on: ``None`` (the
         ``REPRO_ARRAY_BACKEND`` environment variable, defaulting to the
         bit-identical NumPy reference), a registered name (``"numpy"``,
-        ``"cupy"``, ``"jax"``), or an
+        ``"jax"``), or an
         :class:`~repro.sim.backends.ArrayBackend` instance (cached by
         name so forked workers resolve to the same object).  Explicit
         names raise when the library is missing; the environment variable

@@ -120,6 +120,9 @@ class TestErrorMapping:
     def test_bad_spec_is_400(self, client):
         error = self._status_of(lambda: client.submit({"points": []}))
         assert error.status == 400
+        error = self._status_of(
+            lambda: client.submit({"points": [{"ebn0_db": "4.0"}]}))
+        assert error.status == 400
 
     def test_unregistered_worker_is_400(self, client):
         error = self._status_of(lambda: client.lease("worker-9999"))

@@ -89,6 +89,12 @@ class TestPlanning:
             broker.submit({**SPEC, "generation": "gen9"})
         with pytest.raises(BrokerError, match="backend"):
             broker.submit({**SPEC, "backend": "quantum"})
+        for point in ("4.0", {"scenario": "awgn"}, {"ebn0_db": "4.0"},
+                      {"ebn0_db": float("nan")}, {"ebn0_db": True},
+                      {"ebn0_db": 4.0, "scenario": None},
+                      {"ebn0_db": 4.0, "adc_bits": 2.5}):
+            with pytest.raises(BrokerError, match="grid point"):
+                broker.submit({**SPEC, "points": [point]})
 
     def test_overlapping_jobs_share_tasks(self, broker):
         first = broker.submit(SPEC)

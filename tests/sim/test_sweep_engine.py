@@ -50,6 +50,23 @@ class TestSweepGrid:
         assert {point: 1}[SweepPoint(ebn0_db=4.0, scenario="awgn")] == 1
 
 
+class TestSweepPointCodec:
+    def test_round_trip_and_defaults(self):
+        for point in sweep_grid([-1.5, 4], scenarios=("cm1",),
+                                adc_bits=(None, 4)):
+            assert SweepPoint.from_dict(point.to_dict()) == point
+        assert SweepPoint.from_dict({"ebn0_db": 3}) == SweepPoint(3.0)
+
+    @pytest.mark.parametrize("data", [
+        None, [4.0], {}, {"ebn0_db": "4"}, {"ebn0_db": float("inf")},
+        {"ebn0_db": False}, {"ebn0_db": 1.0, "modulation": 2},
+        {"ebn0_db": 1.0, "adc_bits": "4"}, {"ebn0_db": 1.0, "adc_bits": True},
+    ])
+    def test_rejects_malformed_input(self, data):
+        with pytest.raises(ValueError, match="grid point"):
+            SweepPoint.from_dict(data)
+
+
 class TestScenarioRegistry:
     def test_builtin_names_present(self):
         for name in ("awgn", "two_ray", "cm1", "cm3", "narrowband",
