@@ -43,44 +43,16 @@ Quick start::
     print(simulation.result.crc_ok, simulation.result.bit_error_rate)
 """
 
-# Defined before the subpackage imports so modules imported below (e.g.
-# repro.runs.driver) can read the version during package initialization.
-__version__ = "1.11.0"
+from repro._lazy import lazy_exports
 
-from repro import (
-    adc,
-    channel,
-    constants,
-    core,
-    dsp,
-    obs,
-    phy,
-    power,
-    prototype,
-    pulses,
-    rf,
-    runs,
-    sim,
-    utils,
-)
-from repro.constants import DEFAULT_BAND_PLAN, BandPlan
+__version__ = "1.12.0"
 
-__all__ = [
-    "adc",
-    "channel",
-    "constants",
-    "core",
-    "dsp",
-    "obs",
-    "phy",
-    "power",
-    "prototype",
-    "pulses",
-    "rf",
-    "runs",
-    "sim",
-    "utils",
-    "BandPlan",
-    "DEFAULT_BAND_PLAN",
-    "__version__",
-]
+_SUBMODULES = ("adc", "channel", "constants", "core", "dsp", "obs", "phy",
+               "power", "prototype", "pulses", "rf", "runs", "sim", "utils")
+_EXPORTS = {
+    "BandPlan": "repro.constants",
+    "DEFAULT_BAND_PLAN": "repro.constants",
+}
+
+__all__ = [*_SUBMODULES, *_EXPORTS, "__version__"]
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS, _SUBMODULES)

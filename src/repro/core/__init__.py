@@ -1,57 +1,36 @@
 """Core transceivers: configs, TX/RX chains, link simulation, adaptation."""
 
-from repro.core.adaptation import (
-    AdaptationController,
-    ChannelConditions,
-    OperatingMode,
-)
-from repro.core.config import Gen1Config, Gen2Config
-from repro.core.hopping import (
-    ChannelQualityMap,
-    ChannelSelector,
-    HoppingLinkPlanner,
-)
-from repro.core.link import AcquisitionStatistics, LinkSimulator
-from repro.core.metrics import (
-    BERCurve,
-    BERPoint,
-    PacketResult,
-    count_payload_errors,
-    qfunc,
-    theoretical_bpsk_ber,
-    theoretical_ook_ber,
-    theoretical_ppm_ber,
-)
-from repro.core.receiver import Gen1Receiver, Gen2Receiver, ReceiveResult
-from repro.core.transceiver import Gen1Transceiver, Gen2Transceiver, PacketSimulation
-from repro.core.transmitter import Gen1Transmitter, Gen2Transmitter, TransmitOutput
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "AdaptationController",
-    "ChannelConditions",
-    "OperatingMode",
-    "Gen1Config",
-    "Gen2Config",
-    "ChannelQualityMap",
-    "ChannelSelector",
-    "HoppingLinkPlanner",
-    "AcquisitionStatistics",
-    "LinkSimulator",
-    "BERCurve",
-    "BERPoint",
-    "PacketResult",
-    "count_payload_errors",
-    "qfunc",
-    "theoretical_bpsk_ber",
-    "theoretical_ook_ber",
-    "theoretical_ppm_ber",
-    "Gen1Receiver",
-    "Gen2Receiver",
-    "ReceiveResult",
-    "Gen1Transceiver",
-    "Gen2Transceiver",
-    "PacketSimulation",
-    "Gen1Transmitter",
-    "Gen2Transmitter",
-    "TransmitOutput",
-]
+_EXPORTS = {
+    "AdaptationController": "repro.core.adaptation",
+    "ChannelConditions": "repro.core.adaptation",
+    "OperatingMode": "repro.core.adaptation",
+    "Gen1Config": "repro.core.config",
+    "Gen2Config": "repro.core.config",
+    "ChannelQualityMap": "repro.core.hopping",
+    "ChannelSelector": "repro.core.hopping",
+    "HoppingLinkPlanner": "repro.core.hopping",
+    "AcquisitionStatistics": "repro.core.link",
+    "LinkSimulator": "repro.core.link",
+    "BERCurve": "repro.core.metrics",
+    "BERPoint": "repro.core.metrics",
+    "PacketResult": "repro.core.metrics",
+    "count_payload_errors": "repro.core.metrics",
+    "qfunc": "repro.core.metrics",
+    "theoretical_bpsk_ber": "repro.core.metrics",
+    "theoretical_ook_ber": "repro.core.metrics",
+    "theoretical_ppm_ber": "repro.core.metrics",
+    "Gen1Receiver": "repro.core.receiver",
+    "Gen2Receiver": "repro.core.receiver",
+    "ReceiveResult": "repro.core.receiver",
+    "Gen1Transceiver": "repro.core.transceiver",
+    "Gen2Transceiver": "repro.core.transceiver",
+    "PacketSimulation": "repro.core.transceiver",
+    "Gen1Transmitter": "repro.core.transmitter",
+    "Gen2Transmitter": "repro.core.transmitter",
+    "TransmitOutput": "repro.core.transmitter",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

@@ -2,59 +2,36 @@
 RAKE combining, MLSE (Viterbi) equalization, spectral monitoring, notches, AGC,
 and the parallelization/latency bookkeeping."""
 
-from repro.dsp.acquisition import (
-    AcquisitionConfig,
-    AcquisitionResult,
-    CoarseAcquisition,
-)
-from repro.dsp.agc import AutomaticGainControl
-from repro.dsp.channel_estimation import ChannelEstimate, ChannelEstimator
-from repro.dsp.correlator import (
-    Correlator,
-    CorrelatorBank,
-    normalized_correlation,
-    sliding_correlation,
-)
-from repro.dsp.notch import AdaptiveNotchCanceller, DigitalNotchFilter
-from repro.dsp.parallelizer import (
-    Parallelizer,
-    acquisition_clock_cycles,
-    acquisition_time_s,
-)
-from repro.dsp.rake import FINGER_POLICIES, RakeFinger, RakeReceiver
-from repro.dsp.spectral_monitor import (
-    InterfererReport,
-    SpectralMonitor,
-    SpectralMonitorConfig,
-)
-from repro.dsp.tracking import DelayLockedLoop, TrackingResult
-from repro.dsp.viterbi import MLSEEqualizer, rake_isi_taps, symbol_spaced_channel
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "AcquisitionConfig",
-    "AcquisitionResult",
-    "CoarseAcquisition",
-    "AutomaticGainControl",
-    "ChannelEstimate",
-    "ChannelEstimator",
-    "Correlator",
-    "CorrelatorBank",
-    "normalized_correlation",
-    "sliding_correlation",
-    "AdaptiveNotchCanceller",
-    "DigitalNotchFilter",
-    "Parallelizer",
-    "acquisition_clock_cycles",
-    "acquisition_time_s",
-    "FINGER_POLICIES",
-    "RakeFinger",
-    "RakeReceiver",
-    "InterfererReport",
-    "SpectralMonitor",
-    "SpectralMonitorConfig",
-    "DelayLockedLoop",
-    "TrackingResult",
-    "MLSEEqualizer",
-    "rake_isi_taps",
-    "symbol_spaced_channel",
-]
+_EXPORTS = {
+    "AcquisitionConfig": "repro.dsp.acquisition",
+    "AcquisitionResult": "repro.dsp.acquisition",
+    "CoarseAcquisition": "repro.dsp.acquisition",
+    "AutomaticGainControl": "repro.dsp.agc",
+    "ChannelEstimate": "repro.dsp.channel_estimation",
+    "ChannelEstimator": "repro.dsp.channel_estimation",
+    "Correlator": "repro.dsp.correlator",
+    "CorrelatorBank": "repro.dsp.correlator",
+    "normalized_correlation": "repro.dsp.correlator",
+    "sliding_correlation": "repro.dsp.correlator",
+    "AdaptiveNotchCanceller": "repro.dsp.notch",
+    "DigitalNotchFilter": "repro.dsp.notch",
+    "Parallelizer": "repro.dsp.parallelizer",
+    "acquisition_clock_cycles": "repro.dsp.parallelizer",
+    "acquisition_time_s": "repro.dsp.parallelizer",
+    "FINGER_POLICIES": "repro.dsp.rake",
+    "RakeFinger": "repro.dsp.rake",
+    "RakeReceiver": "repro.dsp.rake",
+    "InterfererReport": "repro.dsp.spectral_monitor",
+    "SpectralMonitor": "repro.dsp.spectral_monitor",
+    "SpectralMonitorConfig": "repro.dsp.spectral_monitor",
+    "DelayLockedLoop": "repro.dsp.tracking",
+    "TrackingResult": "repro.dsp.tracking",
+    "MLSEEqualizer": "repro.dsp.viterbi",
+    "rake_isi_taps": "repro.dsp.viterbi",
+    "symbol_spaced_channel": "repro.dsp.viterbi",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

@@ -25,39 +25,25 @@ Enable telemetry with ``SweepEngine(recorder=Recorder())`` or the CLI's
 ``--telemetry`` flag; drive progress with ``--progress``.
 """
 
-from repro.obs.ledger import (
-    LEDGER_NAME,
-    SUMMARY_NAME,
-    EventLedger,
-    summarize,
-    validate_event,
-    write_summary,
-)
-from repro.obs.progress import ProgressLine
-from repro.obs.recorder import (
-    EVENT_SCHEMA_VERSION,
-    NULL_RECORDER,
-    NullRecorder,
-    Recorder,
-    activate,
-    active,
-)
-from repro.obs.report import load_run_events, render_report
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "EVENT_SCHEMA_VERSION",
-    "LEDGER_NAME",
-    "NULL_RECORDER",
-    "SUMMARY_NAME",
-    "EventLedger",
-    "NullRecorder",
-    "ProgressLine",
-    "Recorder",
-    "activate",
-    "active",
-    "load_run_events",
-    "render_report",
-    "summarize",
-    "validate_event",
-    "write_summary",
-]
+_EXPORTS = {
+    "EVENT_SCHEMA_VERSION": "repro.obs.recorder",
+    "LEDGER_NAME": "repro.obs.ledger",
+    "NULL_RECORDER": "repro.obs.recorder",
+    "SUMMARY_NAME": "repro.obs.ledger",
+    "EventLedger": "repro.obs.ledger",
+    "NullRecorder": "repro.obs.recorder",
+    "ProgressLine": "repro.obs.progress",
+    "Recorder": "repro.obs.recorder",
+    "activate": "repro.obs.recorder",
+    "active": "repro.obs.recorder",
+    "load_run_events": "repro.obs.report",
+    "render_report": "repro.obs.report",
+    "summarize": "repro.obs.ledger",
+    "validate_event": "repro.obs.ledger",
+    "write_summary": "repro.obs.ledger",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

@@ -61,8 +61,21 @@ def validate_event(event) -> dict:
     non-empty ``name``, numeric ``ts``, integer ``pid``, dict ``attrs``)
     plus the kind-specific payload (``duration_s`` for spans, ``value``
     for counters and gauges), and that the whole event is JSON-safe.
-    Returns ``event`` itself, so it doubles as the ledger reader's parse
-    step.
+    Returns ``event`` itself.
+    """
+    _check_fields(event)
+    try:
+        json.dumps(event)
+    except (TypeError, ValueError) as error:
+        raise ValueError(f"event is not JSON-serializable: {error}") from None
+    return event
+
+
+def _check_fields(event) -> dict:
+    """:func:`validate_event` without the JSON-safety test.
+
+    The ledger reader's parse step: whatever ``json.loads`` returns is
+    JSON-safe already.  Returns ``event`` itself.
     """
     if not isinstance(event, dict):
         raise ValueError(f"event must be a dict, got {type(event).__name__}")
@@ -90,10 +103,6 @@ def validate_event(event) -> dict:
     elif not isinstance(event.get("value"), (int, float)):
         raise ValueError(f"{kind} event needs a numeric value, "
                          f"got {event.get('value')!r}")
-    try:
-        json.dumps(event)
-    except (TypeError, ValueError) as error:
-        raise ValueError(f"event is not JSON-serializable: {error}") from None
     return event
 
 
@@ -122,7 +131,7 @@ class EventLedger:
         are skipped and counted, never fatal — mirroring the result
         store's damaged-cache policy.
         """
-        events, corrupt = read_jsonl(self.path, validate_event)
+        events, corrupt = read_jsonl(self.path, _check_fields)
         return events, len(corrupt)
 
 

@@ -1,23 +1,18 @@
 """Power models: per-block estimates and system budgets for both generations."""
 
-from repro.power.budget import PowerBudget, gen1_power_budget, gen2_power_budget
-from repro.power.models import (
-    BlockPower,
-    DigitalBackEndPowerModel,
-    DigitalBlockPower,
-    GATE_ENERGY_018UM_J,
-    RFFrontEndPowerModel,
-    adc_block_power,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "PowerBudget",
-    "gen1_power_budget",
-    "gen2_power_budget",
-    "BlockPower",
-    "DigitalBackEndPowerModel",
-    "DigitalBlockPower",
-    "GATE_ENERGY_018UM_J",
-    "RFFrontEndPowerModel",
-    "adc_block_power",
-]
+_EXPORTS = {
+    "PowerBudget": "repro.power.budget",
+    "gen1_power_budget": "repro.power.budget",
+    "gen2_power_budget": "repro.power.budget",
+    "BlockPower": "repro.power.models",
+    "DigitalBackEndPowerModel": "repro.power.models",
+    "DigitalBlockPower": "repro.power.models",
+    "GATE_ENERGY_018UM_J": "repro.power.models",
+    "RFFrontEndPowerModel": "repro.power.models",
+    "adc_block_power": "repro.power.models",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

@@ -1,10 +1,12 @@
 """Discrete prototype platform and modulation-scheme comparison."""
 
-from repro.prototype.comparison import ModulationComparison, SchemeResult
-from repro.prototype.platform import DiscretePrototypePlatform
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "ModulationComparison",
-    "SchemeResult",
-    "DiscretePrototypePlatform",
-]
+_EXPORTS = {
+    "ModulationComparison": "repro.prototype.comparison",
+    "SchemeResult": "repro.prototype.comparison",
+    "DiscretePrototypePlatform": "repro.prototype.platform",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

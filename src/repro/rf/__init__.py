@@ -1,40 +1,26 @@
 """RF front-end models: antenna, LNA, mixer, LO/synthesizer, notch, cascades."""
 
-from repro.rf.antenna import PlanarEllipticalAntenna
-from repro.rf.frontend import DirectConversionFrontEnd, Gen1FrontEnd
-from repro.rf.lna import LNA
-from repro.rf.mixer import DirectConversionMixer
-from repro.rf.noise import (
-    NoiseStage,
-    cascade_gain_db,
-    cascade_noise_figure_db,
-    thermal_noise_voltage_std,
-)
-from repro.rf.nonlinearity import (
-    RappNonlinearity,
-    iip3_to_coefficient,
-    polynomial_nonlinearity,
-)
-from repro.rf.notch import AnalogNotchFilter
-from repro.rf.oscillator import LocalOscillator, PhaseLockedLoop
-from repro.rf.synthesizer import FrequencySynthesizer, HoppingSequence
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "PlanarEllipticalAntenna",
-    "DirectConversionFrontEnd",
-    "Gen1FrontEnd",
-    "LNA",
-    "DirectConversionMixer",
-    "NoiseStage",
-    "cascade_gain_db",
-    "cascade_noise_figure_db",
-    "thermal_noise_voltage_std",
-    "RappNonlinearity",
-    "iip3_to_coefficient",
-    "polynomial_nonlinearity",
-    "AnalogNotchFilter",
-    "LocalOscillator",
-    "PhaseLockedLoop",
-    "FrequencySynthesizer",
-    "HoppingSequence",
-]
+_EXPORTS = {
+    "PlanarEllipticalAntenna": "repro.rf.antenna",
+    "DirectConversionFrontEnd": "repro.rf.frontend",
+    "Gen1FrontEnd": "repro.rf.frontend",
+    "LNA": "repro.rf.lna",
+    "DirectConversionMixer": "repro.rf.mixer",
+    "NoiseStage": "repro.rf.noise",
+    "cascade_gain_db": "repro.rf.noise",
+    "cascade_noise_figure_db": "repro.rf.noise",
+    "thermal_noise_voltage_std": "repro.rf.noise",
+    "RappNonlinearity": "repro.rf.nonlinearity",
+    "iip3_to_coefficient": "repro.rf.nonlinearity",
+    "polynomial_nonlinearity": "repro.rf.nonlinearity",
+    "AnalogNotchFilter": "repro.rf.notch",
+    "LocalOscillator": "repro.rf.oscillator",
+    "PhaseLockedLoop": "repro.rf.oscillator",
+    "FrequencySynthesizer": "repro.rf.synthesizer",
+    "HoppingSequence": "repro.rf.synthesizer",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

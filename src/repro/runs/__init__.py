@@ -42,32 +42,28 @@ Command line (same store format)::
     python -m repro show   --run runs/<name>
 """
 
-from repro.runs.artifacts import Artifact, export_curves, load_artifact
-from repro.runs.driver import RunDriver, RunManifest, RunReport
-from repro.runs.store import (STORE_FORMATS, ResultStore, StoredChunk,
-                              default_store_format, detect_store_format,
-                              measurement_key)
-from repro.runs.warehouse import (SQLiteResultStore, gc_store, migrate_run,
-                                  migrate_store, query_store,
-                                  validate_store)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "Artifact",
-    "ResultStore",
-    "RunDriver",
-    "RunManifest",
-    "RunReport",
-    "SQLiteResultStore",
-    "STORE_FORMATS",
-    "StoredChunk",
-    "default_store_format",
-    "detect_store_format",
-    "export_curves",
-    "gc_store",
-    "load_artifact",
-    "measurement_key",
-    "migrate_run",
-    "migrate_store",
-    "query_store",
-    "validate_store",
-]
+_EXPORTS = {
+    "Artifact": "repro.runs.artifacts",
+    "ResultStore": "repro.runs.store",
+    "RunDriver": "repro.runs.driver",
+    "RunManifest": "repro.runs.driver",
+    "RunReport": "repro.runs.driver",
+    "SQLiteResultStore": "repro.runs.warehouse",
+    "STORE_FORMATS": "repro.runs.store",
+    "StoredChunk": "repro.runs.store",
+    "default_store_format": "repro.runs.store",
+    "detect_store_format": "repro.runs.store",
+    "export_curves": "repro.runs.artifacts",
+    "gc_store": "repro.runs.warehouse",
+    "load_artifact": "repro.runs.artifacts",
+    "measurement_key": "repro.runs.store",
+    "migrate_run": "repro.runs.warehouse",
+    "migrate_store": "repro.runs.warehouse",
+    "query_store": "repro.runs.warehouse",
+    "validate_store": "repro.runs.warehouse",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

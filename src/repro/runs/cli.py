@@ -625,8 +625,13 @@ def _command_merge(args, out) -> int:
 
 def _command_show(args, out) -> int:
     driver = RunDriver.open(args.run)
+    with driver.open_store() as store:
+        _show(driver, store, out)
+    return 0
+
+
+def _show(driver: RunDriver, store: ResultStore, out) -> None:
     manifest = driver.manifest
-    store = driver.open_store()
     measured = sum(
         1 for point in manifest.points
         if store.lookup(driver._key_for(point), manifest.num_packets)
@@ -647,7 +652,7 @@ def _command_show(args, out) -> int:
     if store.corrupt_records:
         print(f"warning   : {store.corrupt_records} corrupt store "
               "record(s) skipped", file=out)
-    progress = driver.shard_progress()
+    progress = driver._shard_progress(store)
     total_chunks = sum(entry["chunks_stored"] for entry in progress.values())
     total_packets = sum(entry["packets_stored"]
                         for entry in progress.values())
@@ -662,8 +667,7 @@ def _command_show(args, out) -> int:
         print(f"telemetry : {LEDGER_NAME} present; render with: "
               f"python -m repro report {driver.run_dir}", file=out)
     if measured:
-        _print_curves(driver.merge(strict=False), out)
-    return 0
+        _print_curves(driver._merge(store, strict=False), out)
 
 
 def _command_report(args, out) -> int:

@@ -677,8 +677,11 @@ class RunDriver:
     def shard_status(self) -> dict[int, str]:
         """Per-shard state: ``done``, ``partial`` (some points cached) or
         ``pending``."""
+        with self.open_store() as store:
+            return self._shard_status(store)
+
+    def _shard_status(self, store: ResultStore) -> dict[int, str]:
         status: dict[int, str] = {}
-        store = self.open_store()
         for index in range(self.manifest.num_shards):
             if self._marker_path(index).is_file():
                 status[index] = "done"
@@ -700,8 +703,11 @@ class RunDriver:
         Derived from the manifest and the content-addressed store alone,
         so it works on live, crashed, and finished runs alike.
         """
-        statuses = self.shard_status()
-        store = self.open_store()
+        with self.open_store() as store:
+            return self._shard_progress(store)
+
+    def _shard_progress(self, store: ResultStore) -> dict[int, dict]:
+        statuses = self._shard_status(store)
         progress: dict[int, dict] = {}
         for index in range(self.manifest.num_shards):
             points = self.manifest.points_for_shard(index)
@@ -753,8 +759,12 @@ class RunDriver:
         (default) a missing point raises; ``strict=False`` returns the
         measured subset (useful for eyeballing a run in flight).
         """
+        with self.open_store() as store:
+            return self._merge(store, strict)
+
+    def _merge(self, store: ResultStore, strict: bool) -> SweepResult:
         result, missing = assemble_curve(
-            self.open_store(),
+            store,
             ((point, self._key_for(point)) for point in self.manifest.points),
             self.manifest.num_packets)
         if missing and strict:

@@ -223,6 +223,12 @@ class ResultStore:
     def close(self) -> None:
         """Release backend resources (a no-op for the JSONL backend)."""
 
+    def __enter__(self) -> "ResultStore":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
+
     # ------------------------------------------------------------------
     # Loading
     # ------------------------------------------------------------------

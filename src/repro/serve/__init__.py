@@ -29,25 +29,23 @@ expired, job ids survive, and a SIGKILLed broker resumes mid-job
 without re-simulating a single committed chunk.
 """
 
-from repro.serve.broker import Broker, BrokerDrainingError, JobSpec
-from repro.serve.journal import BrokerJournal
-from repro.serve.leases import (Lease, LeaseError, LeaseExpiredError,
-                                LeaseTable, UnknownLeaseError)
-from repro.serve.worker import (BrokerClient, BrokerTransportError, Worker,
-                                WorkerShutdown)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "Broker",
-    "BrokerClient",
-    "BrokerDrainingError",
-    "BrokerJournal",
-    "BrokerTransportError",
-    "JobSpec",
-    "Lease",
-    "LeaseError",
-    "LeaseExpiredError",
-    "LeaseTable",
-    "UnknownLeaseError",
-    "Worker",
-    "WorkerShutdown",
-]
+_EXPORTS = {
+    "Broker": "repro.serve.broker",
+    "BrokerClient": "repro.serve.worker",
+    "BrokerDrainingError": "repro.serve.broker",
+    "BrokerJournal": "repro.serve.journal",
+    "BrokerTransportError": "repro.serve.worker",
+    "JobSpec": "repro.serve.broker",
+    "Lease": "repro.serve.leases",
+    "LeaseError": "repro.serve.leases",
+    "LeaseExpiredError": "repro.serve.leases",
+    "LeaseTable": "repro.serve.leases",
+    "UnknownLeaseError": "repro.serve.leases",
+    "Worker": "repro.serve.worker",
+    "WorkerShutdown": "repro.serve.worker",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

@@ -54,46 +54,31 @@ fan-out (``max_workers``) returns results through
 of pickles, bit-identical to a serial run.
 """
 
-from repro.sim.backends import (
-    ArrayBackend,
-    JaxBackend,
-    NumpyBackend,
-    available_backends,
-    get_backend,
-    reference_backend,
-    register_backend,
-)
-from repro.sim.batch import BatchedLinkModel, BatchResult, pulse_for_config
-from repro.sim.batch_rx import BatchedFullStackModel, FullStackBatchResult
-from repro.sim.engine import SweepEngine, SweepPoint, SweepResult, sweep_grid
-from repro.sim.scenarios import (
-    SCENARIOS,
-    Scenario,
-    ScenarioRegistry,
-    default_registry,
-)
-from repro.sim.shm import ChunkResultBlock
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "ArrayBackend",
-    "BatchResult",
-    "BatchedFullStackModel",
-    "BatchedLinkModel",
-    "FullStackBatchResult",
-    "ChunkResultBlock",
-    "JaxBackend",
-    "NumpyBackend",
-    "SCENARIOS",
-    "Scenario",
-    "ScenarioRegistry",
-    "SweepEngine",
-    "SweepPoint",
-    "SweepResult",
-    "available_backends",
-    "default_registry",
-    "get_backend",
-    "pulse_for_config",
-    "reference_backend",
-    "register_backend",
-    "sweep_grid",
-]
+_EXPORTS = {
+    "ArrayBackend": "repro.sim.backends",
+    "BatchResult": "repro.sim.batch",
+    "BatchedFullStackModel": "repro.sim.batch_rx",
+    "BatchedLinkModel": "repro.sim.batch",
+    "FullStackBatchResult": "repro.sim.batch_rx",
+    "ChunkResultBlock": "repro.sim.shm",
+    "JaxBackend": "repro.sim.backends",
+    "NumpyBackend": "repro.sim.backends",
+    "SCENARIOS": "repro.sim.scenarios",
+    "Scenario": "repro.sim.scenarios",
+    "ScenarioRegistry": "repro.sim.scenarios",
+    "SweepEngine": "repro.sim.engine",
+    "SweepPoint": "repro.sim.engine",
+    "SweepResult": "repro.sim.engine",
+    "available_backends": "repro.sim.backends",
+    "default_registry": "repro.sim.scenarios",
+    "get_backend": "repro.sim.backends",
+    "pulse_for_config": "repro.sim.batch",
+    "reference_backend": "repro.sim.backends",
+    "register_backend": "repro.sim.backends",
+    "sweep_grid": "repro.sim.engine",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

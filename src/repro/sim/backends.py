@@ -45,8 +45,6 @@ import warnings
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from repro.adc.quantizer import UniformQuantizer
-
 __all__ = [
     "ArrayBackend",
     "NumpyBackend",
@@ -290,6 +288,7 @@ class NumpyBackend(ArrayBackend):
 
     def quantize_uniform(self, samples, bits: int, full_scale: float):
         """Delegate to the reference :class:`UniformQuantizer`."""
+        from repro.adc.quantizer import UniformQuantizer
         return UniformQuantizer(bits=bits,
                                 full_scale=full_scale).quantize(samples)
 

@@ -50,7 +50,6 @@ import logging
 import time
 import warnings
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from itertools import product
 
@@ -60,9 +59,7 @@ from repro.core.config import Gen1Config, Gen2Config
 from repro.core.metrics import BERCurve, BERPoint
 from repro.obs.recorder import NULL_RECORDER, Recorder, activate
 from repro.sim.backends import ArrayBackend, get_backend
-from repro.sim.batch import BatchedLinkModel
 from repro.sim.scenarios import SCENARIOS, Scenario, ScenarioRegistry
-from repro.sim.shm import SLOT_OK, ChunkResultBlock, ChunkTaskBlock
 from repro.utils.validation import require_int
 
 _logger = logging.getLogger(__name__)
@@ -290,6 +287,7 @@ def _run_point_record(task: _PointTask) -> tuple[BERPoint, np.ndarray]:
     point = task.point
 
     if task.backend == "batch":
+        from repro.sim.batch import BatchedLinkModel
         notch = (scenario.notch_frequency_hz
                  if getattr(config, "enable_digital_notch", False) else None)
         model = BatchedLinkModel(config, modulation=point.modulation,
@@ -474,6 +472,7 @@ def _run_slot_task(task_block_name: str, result_block_name: str, slot: int,
     Returns ``(slot, events)`` where ``events`` is the worker-side
     telemetry batch (``None`` when telemetry is off).
     """
+    from repro.sim.shm import ChunkResultBlock, ChunkTaskBlock
     recorder, queue_wait = _worker_telemetry(telemetry, submit_t)
     with activate(recorder):
         prototypes = _proto_cache.get(task_block_name)
@@ -531,6 +530,9 @@ def _run_chunks_shared(prototypes, rows, error_packets: int,
     counted — telemetry rides the existing transport, never a second
     channel.
     """
+    from concurrent.futures import ProcessPoolExecutor
+
+    from repro.sim.shm import SLOT_OK, ChunkResultBlock, ChunkTaskBlock
     telemetry = recorder.enabled
     with recorder.span("shm.pack", tasks=len(rows)):
         try:
@@ -856,8 +858,15 @@ class SweepEngine:
         recorder = self.recorder
         telemetry = recorder.enabled
         if max_workers is not None and max_workers > 1 and len(rows) > 1:
-            # Workers fork from here: load scipy once, not once per worker.
+            # Workers fork from here: load scipy and the chunk body once,
+            # not once per worker.
+            from concurrent.futures import ProcessPoolExecutor
+
             import scipy.signal  # noqa: F401
+
+            import repro.core.transceiver  # noqa: F401
+            import repro.sim.batch  # noqa: F401
+            import repro.sim.batch_rx  # noqa: F401
             if self.shared_memory:
                 records, failure = _run_chunks_shared(
                     prototypes, rows, error_packets, max_workers, recorder)

@@ -33,6 +33,22 @@ def valid_event(**overrides):
     return event
 
 
+#: Malformed events that are still valid JSON (so can sit in a ledger).
+MALFORMED = [
+    "not a dict",
+    valid_event(schema=2),
+    valid_event(kind="timer"),
+    valid_event(name=""),
+    valid_event(name=7),
+    valid_event(ts="late"),
+    valid_event(pid="p"),
+    valid_event(attrs=None),
+    valid_event(value="many"),
+    {"schema": 1, "kind": "span", "name": "s", "ts": 1.0, "pid": 1,
+     "attrs": {}},                                      # span, no duration
+]
+
+
 class TestValidateEvent:
     def test_recorder_events_validate(self):
         for event in make_events():
@@ -41,18 +57,7 @@ class TestValidateEvent:
     def test_accepts_span_with_duration(self):
         validate_event(valid_event(kind="span", duration_s=0.5, value=None))
 
-    @pytest.mark.parametrize("broken", [
-        "not a dict",
-        valid_event(schema=2),
-        valid_event(kind="timer"),
-        valid_event(name=""),
-        valid_event(name=7),
-        valid_event(ts="late"),
-        valid_event(pid="p"),
-        valid_event(attrs=None),
-        valid_event(value="many"),
-        {"schema": 1, "kind": "span", "name": "s", "ts": 1.0, "pid": 1,
-         "attrs": {}},                                  # span, no duration
+    @pytest.mark.parametrize("broken", MALFORMED + [
         valid_event(attrs={"bad": object()}),           # not JSON-safe
     ])
     def test_rejects_malformed(self, broken):
@@ -97,6 +102,15 @@ class TestEventLedger:
         assert corrupt == 1
         assert all(event["kind"] in ("span", "counter", "gauge")
                    for event in loaded)
+
+    @pytest.mark.parametrize("broken", MALFORMED)
+    def test_read_skips_every_malformed_event(self, tmp_path, broken):
+        ledger = EventLedger(tmp_path / LEDGER_NAME)
+        events = make_events()
+        ledger.append(events)
+        with open(ledger.path, "a", encoding="utf-8") as handle:
+            handle.write(json.dumps(broken) + "\n")
+        assert ledger.read() == (json.loads(json.dumps(events)), 1)
 
 
 class TestSummarize:

@@ -4,7 +4,7 @@ import io
 
 import pytest
 
-from repro.runs import load_artifact
+from repro.runs import ResultStore, load_artifact
 from repro.runs.cli import (
     main,
     parse_adc_bits_axis,
@@ -147,6 +147,34 @@ class TestMergeCommand:
                             "--allow-partial")
         assert code == 0
         assert "merged 2 of 3 point(s)" in out
+
+
+class TestShowCommand:
+    @pytest.mark.parametrize("store_format", ["jsonl", "sqlite"])
+    def test_opens_the_store_once_and_closes_it(self, tmp_path, monkeypatch,
+                                                store_format):
+        run_cli(*SWEEP_ARGS, "--out", str(tmp_path), "--name", "demo",
+                "--store-format", store_format)
+        opened, closed = [], []
+        real_open = ResultStore.open.__func__
+
+        def counting_open(cls, *args, **kwargs):
+            store = real_open(cls, *args, **kwargs)
+            real_close = store.close
+
+            def close():
+                closed.append(store)
+                real_close()
+            store.close = close
+            opened.append(store)
+            return store
+
+        monkeypatch.setattr(ResultStore, "open", classmethod(counting_open))
+        code, out = run_cli("show", "--run", str(tmp_path / "demo"))
+        assert code == 0
+        assert "coverage  : 3/3 point(s) measured" in out
+        assert len(opened) == 1
+        assert closed == opened
 
 
 class TestErrors:
