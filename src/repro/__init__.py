@@ -20,8 +20,8 @@ The package is organized by subsystem:
 * :mod:`repro.core` — the two transceiver generations, link simulation and
   the power/QoS/data-rate adaptation controller.
 * :mod:`repro.sim` — the batched Monte-Carlo sweep engine, the scenario
-  registry, pluggable array backends (NumPy / JAX) and the
-  shared-memory process fan-out (the fast path for BER grids across many
+  registry, pluggable array backends (NumPy / JAX) and the chunked
+  process-pool fan-out (the fast path for BER grids across many
   environments).
 * :mod:`repro.runs` — persistent sweep runs: the content-addressed result
   store (append-only JSONL or the queryable SQLite warehouse with ETL
@@ -45,7 +45,7 @@ Quick start::
 
 from repro._lazy import lazy_exports
 
-__version__ = "1.12.0"
+__version__ = "1.13.0"
 
 _SUBMODULES = ("adc", "channel", "constants", "core", "dsp", "obs", "phy",
                "power", "prototype", "pulses", "rf", "runs", "sim", "utils")

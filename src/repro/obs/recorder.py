@@ -3,7 +3,7 @@
 A :class:`Recorder` accumulates a flat list of *events* — timed spans
 (``with recorder.span("chunk.run", ...)``), monotonic counters
 (``recorder.counter("store.chunks_added")``) and point-in-time gauges
-(``recorder.gauge("shm.task_block_bytes", n)``) — as plain JSON-safe
+(``recorder.gauge("pool.workers", n)``) — as plain JSON-safe
 dictionaries, cheap enough to thread through the hot orchestration paths
 of :class:`repro.sim.SweepEngine` and :class:`repro.runs.RunDriver`.
 
@@ -16,14 +16,14 @@ reads** — its :meth:`~NullRecorder.span` hands back one shared inert
 context manager — so instrumented code needs no ``if enabled`` guards.
 
 Instrumentation deep inside the stack (the batched receiver stages, the
-shared-memory blocks, the result store) reaches the current recorder
-through the *active-recorder* pattern: orchestration code installs its
-recorder with :func:`activate` (a re-entrant context manager) and leaf
-code calls :func:`active` to record against it.  The active recorder is
-a per-process module global, **not** thread-local: worker *processes*
-each activate their own recorder (a fork inherits the parent's — always
-replace it, never record into it), while helper threads (e.g. the
-channel-FFT pool) must not record.
+chunk bodies in pool workers, the result store) reaches the current
+recorder through the *active-recorder* pattern: orchestration code
+installs its recorder with :func:`activate` (a re-entrant context
+manager) and leaf code calls :func:`active` to record against it.  The
+active recorder is a per-process module global, **not** thread-local:
+worker *processes* each activate their own recorder (a fork inherits the
+parent's — always replace it, never record into it), while helper
+threads (e.g. the channel-FFT pool) must not record.
 
 Durations come from ``time.perf_counter`` and event timestamps from
 ``time.time``; both are injectable for tests.  Worker processes ship

@@ -67,10 +67,10 @@ Eb/N0 axis also accepts ``start:stop[:step]`` with an *inclusive* stop
 and a default step of 1 (``--ebn0 0:12:1`` is the thirteen integer
 points 0..12 dB).  ``--array-backend`` (or ``REPRO_ARRAY_BACKEND``)
 selects the array backend the batch kernel runs on; ``--workers N``
-fans cache misses over worker processes with shared-memory chunk
-transport, and ``--chunk-packets N`` makes the seeded packet chunk the
-unit of scheduling and caching so even a single hot point spreads over
-the pool.  ``--progress`` draws a live one-line status on stderr and
+fans cache misses over a pool of worker processes, and
+``--chunk-packets N`` makes the seeded packet chunk the unit of
+scheduling and caching so even a single hot point spreads over the
+pool.  ``--progress`` draws a live one-line status on stderr and
 ``--telemetry`` records the run's event ledger (both off by default;
 neither changes results — telemetry is bitwise invisible).
 """
@@ -280,8 +280,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "python -m repro store migrate)")
     sweep.add_argument("--workers", type=int, default=None, metavar="N",
                        help="simulate cache misses on N worker processes "
-                            "(results return through shared memory, "
-                            "bit-identical to serial; default: serial)")
+                            "(bit-identical to serial; default: serial)")
     _add_obs_arguments(sweep)
 
     resume = commands.add_parser(
@@ -290,7 +289,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="run directory (as printed by sweep)")
     resume.add_argument("--workers", type=int, default=None, metavar="N",
                         help="simulate cache misses on N worker processes "
-                             "(shared-memory transport; default: serial)")
+                             "(bit-identical to serial; default: serial)")
     _add_obs_arguments(resume)
 
     merge = commands.add_parser(
@@ -860,9 +859,7 @@ def _command_submit(args, out) -> int:
     points = sweep_grid(args.ebn0, scenarios=args.scenario,
                         modulations=args.mod, adc_bits=args.adc_bits)
     spec = {
-        "points": [{"ebn0_db": point.ebn0_db, "scenario": point.scenario,
-                    "modulation": point.modulation,
-                    "adc_bits": point.adc_bits} for point in points],
+        "points": [point.to_dict() for point in points],
         "num_packets": args.packets,
         "payload_bits_per_packet": args.payload_bits,
         "chunk_packets": args.chunk_packets,

@@ -545,8 +545,8 @@ class RunDriver:
         a coverage gap left by a crashed or faulted run) are skipped, so
         a resume re-runs *only* the missing chunks.  The chunk tasks of
         all points fan out together when ``max_workers`` is set (through
-        :meth:`repro.sim.SweepEngine.measure_points`, shared-memory
-        input/result transport) — results are bit-identical to a serial
+        :meth:`repro.sim.SweepEngine.measure_points`, one process-pool
+        future per chunk) — results are bit-identical to a serial
         run of the same layout, and every completed chunk is persisted
         even when another chunk's worker fails mid-shard.  Safe to
         re-run after a crash — completed chunks are already in the store

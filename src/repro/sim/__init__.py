@@ -49,9 +49,8 @@ pluggable *array backend* (:mod:`repro.sim.backends`): the NumPy
 reference (bit-identical to the historical code) or JAX —
 ``SweepEngine(array_backend="jax")``, ``--array-backend`` on the
 CLI, or the ``REPRO_ARRAY_BACKEND`` environment variable.  Process
-fan-out (``max_workers``) returns results through
-``multiprocessing.shared_memory`` blocks (:mod:`repro.sim.shm`) instead
-of pickles, bit-identical to a serial run.
+fan-out (``max_workers``) runs one pickled chunk task per future on a
+``ProcessPoolExecutor``, bit-identical to a serial run.
 """
 
 from repro._lazy import lazy_exports
@@ -62,7 +61,6 @@ _EXPORTS = {
     "BatchedFullStackModel": "repro.sim.batch_rx",
     "BatchedLinkModel": "repro.sim.batch",
     "FullStackBatchResult": "repro.sim.batch_rx",
-    "ChunkResultBlock": "repro.sim.shm",
     "JaxBackend": "repro.sim.backends",
     "NumpyBackend": "repro.sim.backends",
     "SCENARIOS": "repro.sim.scenarios",

@@ -28,18 +28,16 @@ Parallelism: the schedulable unit is the seeded *packet chunk* — a
 random stream.  ``chunk_packets`` splits every point into chunks of that
 size (ragged tail allowed) and ``max_workers`` fans the chunks of *all*
 points out over one ``concurrent.futures.ProcessPoolExecutor``, so a
-single hot point no longer serializes on one core.  Chunk inputs stream
-to workers through a :class:`repro.sim.shm.ChunkTaskBlock` and results
-come back through a :class:`repro.sim.shm.ChunkResultBlock` (written in
-place, never pickled); each chunk fails independently, and completed
-chunks are still harvested when a sibling's worker raises or dies.  For
-a fixed chunk layout, results are bitwise identical however the chunks
-are scheduled — serial, any worker count, any completion order; the
-default layout (``chunk_packets=None``, one chunk per point at offset 0)
-is bit-exact with the historical unchunked engine.  ``shared_memory=
-False`` falls back to the pickling pool.  Scenarios shipped to workers
-must be picklable — every built-in scenario is; custom scenarios should
-use module-level factory functions rather than lambdas.
+single hot point no longer serializes on one core.  Each chunk is one
+future: its task pickles to the worker and its record pickles back; each
+chunk fails independently, and completed chunks are still harvested when
+a sibling's worker raises or dies.  For a fixed chunk layout, results
+are bitwise identical however the chunks are scheduled — serial, any
+worker count, any completion order; the default layout
+(``chunk_packets=None``, one chunk per point at offset 0) is bit-exact
+with the historical unchunked engine.  Scenarios shipped to workers must
+be picklable — every built-in scenario is; custom scenarios should use
+module-level factory functions rather than lambdas.
 """
 
 from __future__ import annotations
@@ -349,12 +347,6 @@ def _run_point_record(task: _PointTask) -> tuple[BERPoint, np.ndarray]:
     return measurement, errors_per_packet
 
 
-def _run_point(task: _PointTask) -> BERPoint:
-    """Measure one grid point (the scalar-result variant of
-    :func:`_run_point_record`, used by ``measure_point``)."""
-    return _run_point_record(task)[0]
-
-
 # ----------------------------------------------------------------------
 # Chunk decomposition and scheduling
 # ----------------------------------------------------------------------
@@ -384,17 +376,11 @@ def chunk_spans(num_packets: int, chunk_packets: int | None,
 
 #: Test-only fault-injection hook.  When set (in the parent process,
 #: before the worker pool forks), it is called as ``hook(task)``
-#: immediately before every chunk task body — on the serial, pickling-pool
-#: and shared-memory paths alike.  Raising (or killing the process) from
-#: it makes exactly that chunk fail, which is how the fault-injection
-#: suite exercises per-chunk isolation.  Never set this outside tests.
+#: immediately before every chunk task body — on the serial and pool
+#: paths alike.  Raising (or killing the process) from it makes exactly
+#: that chunk fail, which is how the fault-injection suite exercises
+#: per-chunk isolation.  Never set this outside tests.
 _chunk_task_hook = None
-
-_PROTO_CACHE_LIMIT = 8
-#: Worker-process cache of unpickled task prototypes, keyed by their
-#: ChunkTaskBlock name, so a worker running many chunks of one fan-out
-#: deserializes the prototypes once.
-_proto_cache: dict = {}
 
 
 def _materialize_chunk(prototype: _PointTask, num_packets: int,
@@ -443,155 +429,27 @@ def _run_chunk_traced(task: _PointTask, packet_offset: int, recorder,
             return _run_chunk_task(task)
 
 
-def _worker_telemetry(telemetry: bool, submit_t: float | None):
-    """A worker-process recorder plus the chunk's pool queue wait.
+def _run_chunk_task_events(task: _PointTask, packet_offset: int,
+                           telemetry: bool = False,
+                           submit_t: float | None = None) -> tuple:
+    """Pool worker body: run one chunk, return ``(record, events)`` where
+    ``events`` is the worker-side telemetry batch (``None`` when
+    telemetry is off).
 
     Workers never record into the recorder a fork inherited from the
     parent — each task gets a fresh one (or the null recorder) and ships
-    its drained events back with the result.  The queue wait is measured
-    against the parent's ``time.monotonic`` submission stamp
-    (``CLOCK_MONOTONIC`` is system-wide on Linux, so the delta is valid
-    across processes); clock adjustments clamp to zero, never negative.
+    its drained events back with the result.  The chunk's pool queue
+    wait is measured against the parent's ``time.monotonic`` submission
+    stamp (``CLOCK_MONOTONIC`` is system-wide on Linux, so the delta is
+    valid across processes); clock adjustments clamp to zero, never
+    negative.
     """
     recorder = Recorder() if telemetry else NULL_RECORDER
     queue_wait = None
     if telemetry and submit_t is not None:
         queue_wait = max(time.monotonic() - float(submit_t), 0.0)
-    return recorder, queue_wait
-
-
-def _run_slot_task(task_block_name: str, result_block_name: str, slot: int,
-                   record_errors: bool, telemetry: bool = False,
-                   submit_t: float | None = None) -> tuple[int, list | None]:
-    """Worker body: rebuild chunk task ``slot`` from the shared task
-    block, simulate it, write its record into the shared result block.
-
-    Only two block names and a slot index cross the pickle boundary —
-    the task inputs stream through shared memory, and the per-fan-out
-    prototypes are unpickled once per worker process (``_proto_cache``).
-    Returns ``(slot, events)`` where ``events`` is the worker-side
-    telemetry batch (``None`` when telemetry is off).
-    """
-    from repro.sim.shm import ChunkResultBlock, ChunkTaskBlock
-    recorder, queue_wait = _worker_telemetry(telemetry, submit_t)
-    with activate(recorder):
-        prototypes = _proto_cache.get(task_block_name)
-        with ChunkTaskBlock.attach(task_block_name) as tasks:
-            proto_index, num_packets, packet_offset = tasks.row(slot)
-            if prototypes is None:
-                if len(_proto_cache) >= _PROTO_CACHE_LIMIT:
-                    _proto_cache.clear()
-                prototypes = tasks.prototypes()
-                _proto_cache[task_block_name] = prototypes
-        task = _materialize_chunk(prototypes[proto_index], num_packets,
-                                  packet_offset)
-        measurement, errors = _run_chunk_traced(task, packet_offset,
-                                                recorder, queue_wait)
-        with ChunkResultBlock.attach(result_block_name) as results:
-            results.write_result(slot, measurement,
-                                 errors if record_errors else None)
-    return slot, (recorder.drain() if telemetry else None)
-
-
-def _run_chunk_task_events(task: _PointTask, packet_offset: int,
-                           telemetry: bool = False,
-                           submit_t: float | None = None) -> tuple:
-    """Pickling-pool worker body: run one chunk, return ``(record,
-    events)`` where ``events`` is the worker-side telemetry batch
-    (``None`` when telemetry is off)."""
-    recorder, queue_wait = _worker_telemetry(telemetry, submit_t)
     record = _run_chunk_traced(task, packet_offset, recorder, queue_wait)
     return record, (recorder.drain() if telemetry else None)
-
-
-def _run_chunks_shared(prototypes, rows, error_packets: int,
-                       max_workers: int,
-                       recorder=NULL_RECORDER) -> tuple[list,
-                                                        BaseException | None]:
-    """Fan chunk tasks over a process pool with shared-memory transport.
-
-    ``rows`` are ``(prototype_index, num_packets, packet_offset)`` chunk
-    tasks; each is submitted as its own future, so chunks from every
-    point interleave freely over the pool and fail independently.
-    Returns ``(records, failure)``: one ``(measurement,
-    errors_per_packet)`` pair per row in row order — ``None`` for a chunk
-    whose worker raised or died (its slot status never flipped, so a
-    half-written record is never read back as garbage) — and the first
-    failure in submission order, or ``None``.  Completed chunks are
-    always harvested, whatever happened to their siblings, and both
-    shared-memory blocks are torn down in a ``finally``.  A block
-    allocation failure raises a ``RuntimeError`` naming the failed
-    allocation before any task runs — tasks are never silently dropped.
-
-    With an enabled ``recorder``, the parent records block pack/alloc
-    spans and sizes plus the pool fan-out span, each worker records its
-    own ``chunk.run`` span (including pool queue wait) and ships the
-    batch back with its future, and harvested-after-failure slots are
-    counted — telemetry rides the existing transport, never a second
-    channel.
-    """
-    from concurrent.futures import ProcessPoolExecutor
-
-    from repro.sim.shm import SLOT_OK, ChunkResultBlock, ChunkTaskBlock
-    telemetry = recorder.enabled
-    with recorder.span("shm.pack", tasks=len(rows)):
-        try:
-            task_block = ChunkTaskBlock.pack(prototypes, rows)
-        except OSError as error:
-            raise RuntimeError(
-                f"failed to allocate the shared-memory task block for "
-                f"{len(rows)} chunk task(s): {error}; no chunk was run "
-                "(is /dev/shm full?)") from error
-    recorder.gauge("shm.task_block_bytes", task_block.size_bytes)
-    result_block = None
-    failure: BaseException | None = None
-    try:
-        with recorder.span("shm.alloc", tasks=len(rows)):
-            try:
-                result_block = ChunkResultBlock.allocate(len(rows),
-                                                         error_packets)
-            except OSError as error:
-                raise RuntimeError(
-                    f"failed to allocate the shared-memory result block for "
-                    f"{len(rows)} chunk task(s) x {error_packets} error "
-                    f"word(s): {error}; no chunk was run "
-                    "(is /dev/shm full?)") from error
-        recorder.gauge("shm.result_block_bytes", result_block.size_bytes)
-        workers = min(int(max_workers), len(rows))
-        recorder.gauge("pool.workers", workers)
-        with recorder.span("pool.run", workers=workers, tasks=len(rows)):
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                futures = [pool.submit(_run_slot_task, task_block.name,
-                                       result_block.name, slot,
-                                       error_packets > 0, telemetry,
-                                       time.monotonic() if telemetry
-                                       else None)
-                           for slot in range(len(rows))]
-                for future in futures:
-                    try:
-                        _, events = future.result()
-                        recorder.absorb(events)
-                    except BaseException as error:  # noqa: BLE001 re-raised
-                        if failure is None:
-                            failure = error
-        records = [result_block.read_result(slot)
-                   if result_block.slot_status(slot) == SLOT_OK else None
-                   for slot in range(len(rows))]
-        if failure is not None:
-            harvested = sum(1 for record in records if record is not None)
-            if harvested:
-                recorder.counter("shm.slots_harvested_after_failure",
-                                 harvested)
-    finally:
-        for block in (task_block, result_block):
-            if block is None:
-                continue
-            block.close()
-            try:
-                block.unlink()
-            except FileNotFoundError:  # pragma: no cover - already gone
-                pass
-    return records, failure
 
 
 class SweepEngine:
@@ -647,16 +505,11 @@ class SweepEngine:
         name so forked workers resolve to the same object).  Explicit
         names raise when the library is missing; the environment variable
         falls back to NumPy with a warning.
-    shared_memory:
-        Process fan-out transport: ``True`` (default) returns worker
-        results through :mod:`repro.sim.shm` blocks; ``False`` pickles
-        them through the executor (the slower historical path, kept for
-        comparison and as an escape hatch).
     recorder:
         Optional :class:`repro.obs.Recorder` collecting run telemetry
-        (chunk latency spans, pool queue waits, shm block sizes,
-        per-stage receiver timing).  ``None`` (default) installs the
-        no-op null recorder: zero clock reads, zero events.  Telemetry
+        (chunk latency spans, pool queue waits, per-stage receiver
+        timing).  ``None`` (default) installs the no-op null recorder:
+        zero clock reads, zero events.  Telemetry
         is *bitwise invisible* — results and :meth:`config_digest` are
         identical whether recording is on or off, and the recorder is
         deliberately excluded from the digest so enabling it never
@@ -668,7 +521,6 @@ class SweepEngine:
                  backend: str = "batch", quantize: bool = True,
                  max_workers: int | None = None,
                  array_backend: str | ArrayBackend | None = None,
-                 shared_memory: bool = True,
                  chunk_packets: int | None = None,
                  recorder=None) -> None:
         if generation not in ("gen1", "gen2"):
@@ -688,7 +540,6 @@ class SweepEngine:
         self.quantize = bool(quantize)
         self.max_workers = max_workers
         self.array_backend = get_backend(array_backend).name
-        self.shared_memory = bool(shared_memory)
         self.chunk_packets = chunk_packets
         # Never part of config_digest(): telemetry is observability, not
         # identity — recording on/off must not split the result cache.
@@ -797,9 +648,9 @@ class SweepEngine:
                     minimum=1)
         require_int(packet_offset, "packet_offset", minimum=0)
         self._validate_modulations((point,))
-        return _run_point(self._task_for(point, num_packets,
-                                         payload_bits_per_packet,
-                                         packet_offset))
+        return _run_point_record(self._task_for(point, num_packets,
+                                                payload_bits_per_packet,
+                                                packet_offset))[0]
 
     def _chunk_layout(self, chunk_packets) -> int | None:
         """The effective chunk layout for one call (``None`` = engine's)."""
@@ -815,8 +666,8 @@ class SweepEngine:
         chunk-task schedule.
 
         Returns ``(prototypes, rows, job_rows)``: one task prototype per
-        distinct point (the expensive part, packed once into the shared
-        task block), ``rows`` of ``(prototype_index, num_packets,
+        distinct point (the expensive part, resolved once however many
+        chunks it spans), ``rows`` of ``(prototype_index, num_packets,
         packet_offset)`` chunk tasks in schedule order, and per job the
         row indices (in offset order) whose results merge into that job's
         measurement.
@@ -839,24 +690,34 @@ class SweepEngine:
                         for offset, packets in spans)
         return prototypes, rows, job_rows
 
-    def _execute_chunks(self, prototypes, rows, error_packets: int,
-                        max_workers: int | None):
+    def _execute_chunks(self, prototypes, rows, max_workers: int | None):
         """Run the chunk-task schedule serially or over a worker pool.
 
-        Returns ``(records, failure)`` exactly like
-        :func:`_run_chunks_shared`; the serial and pickling-pool paths
-        produce the same per-chunk records (same seeds, same layout), so
-        scheduling is bitwise invisible for a fixed chunk layout.  On the
-        serial path a failing chunk stops the schedule (later rows record
-        ``None``); on the pools every chunk fails independently.  Before
-        a failure is returned, every failed chunk is logged with its
-        identity — point digest, scenario, Eb/N0, packet offset — and
+        Returns ``(records, failure)``: one ``(measurement,
+        errors_per_packet)`` record per row, in row order — ``None`` for a
+        chunk that failed or never ran — and the first failure in row
+        order, or ``None``.  Both paths produce the same per-chunk records
+        (same seeds, same layout), so scheduling is bitwise invisible for
+        a fixed chunk layout.  On the serial path a failing chunk stops
+        the schedule (later rows record ``None``); on the pool every chunk
+        is its own future, so chunks from every point interleave freely,
+        fail independently, and completed chunks are always harvested.
+
+        With an enabled recorder the pool records the ``pool.run`` span
+        and ``pool.workers`` gauge, and each worker records its own
+        ``chunk.run`` span (including pool queue wait) and ships the batch
+        back with its future's result.
+
+        Before a failure is returned, every failed chunk is logged with
+        its identity — point digest, scenario, Eb/N0, packet offset — and
         the identities are attached to the exception as a note (Python
         3.11+), so a worker traceback never strands the caller without
         knowing *which* chunk died.
         """
         recorder = self.recorder
-        telemetry = recorder.enabled
+        records = []
+        failure = None
+        failed = []
         if max_workers is not None and max_workers > 1 and len(rows) > 1:
             # Workers fork from here: load scipy and the chunk body once,
             # not once per worker.
@@ -867,43 +728,30 @@ class SweepEngine:
             import repro.core.transceiver  # noqa: F401
             import repro.sim.batch  # noqa: F401
             import repro.sim.batch_rx  # noqa: F401
-            if self.shared_memory:
-                records, failure = _run_chunks_shared(
-                    prototypes, rows, error_packets, max_workers, recorder)
-                failed = [i for i, record in enumerate(records)
-                          if record is None]
-            else:
-                tasks = [(_materialize_chunk(prototypes[index], packets,
-                                             offset), offset)
-                         for index, packets, offset in rows]
-                records = []
-                failure = None
-                workers = min(max_workers, len(tasks))
-                recorder.gauge("pool.workers", workers)
-                with recorder.span("pool.run", workers=workers,
-                                   tasks=len(tasks)):
-                    with ProcessPoolExecutor(max_workers=workers) as pool:
-                        futures = [
-                            pool.submit(_run_chunk_task_events, task, offset,
-                                        telemetry,
-                                        time.monotonic() if telemetry
-                                        else None)
-                            for task, offset in tasks]
-                        for future in futures:
-                            try:
-                                record, events = future.result()
-                                records.append(record)
-                                recorder.absorb(events)
-                            except BaseException as error:  # noqa: BLE001
-                                records.append(None)
-                                if failure is None:
-                                    failure = error
-                failed = [i for i, record in enumerate(records)
-                          if record is None]
+            telemetry = recorder.enabled
+            tasks = [(_materialize_chunk(prototypes[index], packets, offset),
+                      offset)
+                     for index, packets, offset in rows]
+            workers = min(max_workers, len(tasks))
+            recorder.gauge("pool.workers", workers)
+            with recorder.span("pool.run", workers=workers, tasks=len(tasks)):
+                with ProcessPoolExecutor(max_workers=workers) as pool:
+                    futures = [
+                        pool.submit(_run_chunk_task_events, task, offset,
+                                    telemetry,
+                                    time.monotonic() if telemetry else None)
+                        for task, offset in tasks]
+                    for future in futures:
+                        try:
+                            record, events = future.result()
+                            records.append(record)
+                            recorder.absorb(events)
+                        except BaseException as error:  # noqa: BLE001
+                            failed.append(len(records))
+                            records.append(None)
+                            if failure is None:
+                                failure = error
         else:
-            records = []
-            failure = None
-            failed = []
             for index, packets, offset in rows:
                 if failure is not None:
                     records.append(None)
@@ -917,7 +765,7 @@ class SweepEngine:
                     failed.append(len(records))
                     records.append(None)
                     failure = error
-        if failure is not None and failed:
+        if failed:
             self._note_chunk_failures(prototypes, rows, failed, failure)
         return records, failure
 
@@ -945,29 +793,16 @@ class SweepEngine:
             merged = merged.merge(records[row_index][0])
         return merged
 
-    def measure_points(self, jobs, payload_bits_per_packet: int = 64,
-                       max_workers: int | None = None,
-                       chunk_packets: int | None = None,
-                       on_chunk=None) -> list[BERPoint]:
-        """Measure a batch of ``(point, num_packets, packet_offset)`` jobs.
+    def _schedule(self, jobs, payload_bits_per_packet: int,
+                  max_workers: int | None, chunk_packets: int | None):
+        """Validate ``(point, num_packets, packet_offset)`` jobs, plan
+        their chunks and run them — the schedule step behind :meth:`run`
+        and :meth:`measure_points`.
 
-        The bulk form of :meth:`measure_point` — with the default layout
-        each job is measured exactly as its :meth:`measure_point` call
-        would be (bit-identical results).  ``chunk_packets`` (``None``:
-        the engine default) further splits every job into seeded chunks,
-        and the chunks of *all* jobs fan out over one ``max_workers``
-        pool with shared-memory input/result transport — the entry point
-        :class:`repro.runs.RunDriver` uses to simulate a shard's cache
-        misses, and the reason one hot point scales across the pool.
-
-        ``on_chunk`` (optional) is called as ``on_chunk(point,
-        packet_offset, measurement)`` for every *completed* chunk, in
-        deterministic schedule order (job order, then offset order).  On
-        a chunk failure every completed chunk is still delivered before
-        the exception propagates — that is what lets a result store keep
-        partial progress, so a resume re-runs only the missing chunks.
+        Returns ``(prototypes, rows, job_rows, records, failure)`` as
+        :meth:`_chunk_plan` and :meth:`_execute_chunks` produce them;
+        delivering results and raising ``failure`` is the caller's job.
         """
-        jobs = list(jobs)
         require_int(payload_bits_per_packet, "payload_bits_per_packet",
                     minimum=1)
         if max_workers is not None:
@@ -984,9 +819,34 @@ class SweepEngine:
                 prototypes, rows, job_rows = self._chunk_plan(
                     jobs, payload_bits_per_packet, layout)
             recorder.counter("chunks.scheduled", len(rows))
-            # Scalar results only — no per-packet error region.
-            records, failure = self._execute_chunks(prototypes, rows, 0,
+            records, failure = self._execute_chunks(prototypes, rows,
                                                     max_workers)
+        return prototypes, rows, job_rows, records, failure
+
+    def measure_points(self, jobs, payload_bits_per_packet: int = 64,
+                       max_workers: int | None = None,
+                       chunk_packets: int | None = None,
+                       on_chunk=None) -> list[BERPoint]:
+        """Measure a batch of ``(point, num_packets, packet_offset)`` jobs.
+
+        The bulk form of :meth:`measure_point` — with the default layout
+        each job is measured exactly as its :meth:`measure_point` call
+        would be (bit-identical results).  ``chunk_packets`` (``None``:
+        the engine default) further splits every job into seeded chunks,
+        and the chunks of *all* jobs fan out over one ``max_workers``
+        process pool — the entry point :class:`repro.runs.RunDriver` uses
+        to simulate a shard's cache misses, and the reason one hot point
+        scales across the pool.
+
+        ``on_chunk`` (optional) is called as ``on_chunk(point,
+        packet_offset, measurement)`` for every *completed* chunk, in
+        deterministic schedule order (job order, then offset order).  On
+        a chunk failure every completed chunk is still delivered before
+        the exception propagates — that is what lets a result store keep
+        partial progress, so a resume re-runs only the missing chunks.
+        """
+        prototypes, rows, job_rows, records, failure = self._schedule(
+            list(jobs), payload_bits_per_packet, max_workers, chunk_packets)
         if on_chunk is not None:
             for (index, _, offset), record in zip(rows, records):
                 if record is not None:
@@ -1019,13 +879,10 @@ class SweepEngine:
         max_workers:
             Overrides the engine-level ``max_workers`` for this call;
             when the effective value exceeds 1, the chunk tasks of all
-            points fan out over worker processes with shared-memory
-            input/result transport (see ``shared_memory``).
+            points fan out over that many worker processes.
         collect_errors_per_packet:
             Also record each point's per-packet bit-error counts in
-            ``SweepResult.errors_per_packet`` (transported through shared
-            memory on the parallel path, so a million-packet point's
-            error vector never crosses a pickle).  Chunk error vectors
+            ``SweepResult.errors_per_packet``.  Chunk error vectors
             concatenate in offset order, identical to the serial order.
         chunk_packets:
             Chunk layout override for this call (``None``: the engine's
@@ -1035,14 +892,6 @@ class SweepEngine:
         """
         points = tuple(points)
         require_int(num_packets, "num_packets", minimum=1)
-        require_int(payload_bits_per_packet, "payload_bits_per_packet",
-                    minimum=1)
-        self._validate_modulations(points)
-        effective_workers = (self.max_workers if max_workers is None
-                             else max_workers)
-        if effective_workers is not None:
-            require_int(effective_workers, "max_workers", minimum=1)
-        layout = self._chunk_layout(chunk_packets)
         duplicates = [point for point, count in Counter(points).items()
                       if count > 1]
         if duplicates:
@@ -1052,18 +901,11 @@ class SweepEngine:
                 "and return identical measurements — use different seeds "
                 "(or engines) to replicate a point",
                 stacklevel=2)
-        recorder = self.recorder
-        with activate(recorder):
-            with recorder.span("engine.chunk_plan", jobs=len(points)):
-                prototypes, rows, job_rows = self._chunk_plan(
-                    [(point, num_packets, 0) for point in points],
-                    payload_bits_per_packet, layout)
-            recorder.counter("chunks.scheduled", len(rows))
-            error_packets = (max(packets for _, packets, _ in rows)
-                             if collect_errors_per_packet and rows else 0)
-            records, failure = self._execute_chunks(prototypes, rows,
-                                                    error_packets,
-                                                    effective_workers)
+        _, _, job_rows, records, failure = self._schedule(
+            [(point, num_packets, 0) for point in points],
+            payload_bits_per_packet,
+            self.max_workers if max_workers is None else max_workers,
+            chunk_packets)
         result = SweepResult()
         for point, row_indices in zip(points, job_rows):
             parts = [records[row_index] for row_index in row_indices]

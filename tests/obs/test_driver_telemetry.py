@@ -166,7 +166,7 @@ class TestFailureLogging:
             [(SweepPoint(ebn0_db=2.0), 4, 0),
              (SweepPoint(ebn0_db=4.0), 4, 0)], 16, 2)
         with caplog.at_level(logging.ERROR, logger="repro.sim.engine"):
-            records, failure = engine._execute_chunks(prototypes, rows, 0, 2)
+            records, failure = engine._execute_chunks(prototypes, rows, 2)
         assert isinstance(failure, RuntimeError)
         (message,) = [record.getMessage() for record in caplog.records
                       if "chunk failed" in record.getMessage()]
@@ -185,7 +185,7 @@ class TestFailureLogging:
             [(SweepPoint(ebn0_db=2.0), 4, 0)], 16, 2)
         with caplog.at_level(logging.ERROR, logger="repro.sim.engine"):
             records, failure = engine._execute_chunks(prototypes, rows,
-                                                      0, None)
+                                                      None)
         assert isinstance(failure, RuntimeError)
         assert any("chunk failed" in record.getMessage()
                    and "offset 0" in record.getMessage()
@@ -200,7 +200,7 @@ class TestFailureLogging:
         engine = engine_factory(seed=6)
         prototypes, rows, _ = engine._chunk_plan(
             [(SweepPoint(ebn0_db=4.0), 4, 0)], 16, 2)
-        _, failure = engine._execute_chunks(prototypes, rows, 0, 2)
+        _, failure = engine._execute_chunks(prototypes, rows, 2)
         (note,) = failure.__notes__
         assert "failed chunk(s)" in note
         assert "offset 2" in note

@@ -5,8 +5,7 @@ simulator.
 ``scipy.optimize`` and dominated ``python -m repro`` start-up, so every
 scipy import sits at its call site; likewise the package ``__init__``s
 are lazy and the engine imports its simulation-only modules (the batch
-kernels, the receiver stack, the process pool and shared memory) where
-it calls them.  These are module sets, not timings.  Each check runs in
+kernels, the receiver stack, the process pool) where it calls them.  These are module sets, not timings.  Each check runs in
 a fresh interpreter, because the test process itself has long since
 loaded everything.
 """
@@ -24,7 +23,7 @@ import repro
 
 SRC = str(Path(repro.__file__).resolve().parent.parent)
 HEAVY = ("scipy.signal", "scipy.special", "scipy.stats",
-         "repro.sim.batch", "repro.sim.batch_rx", "repro.sim.shm",
+         "repro.sim.batch", "repro.sim.batch_rx",
          "repro.core.transceiver", "repro.dsp", "repro.serve",
          "concurrent.futures.process", "multiprocessing.shared_memory")
 #: Most ``repro`` modules ``import repro`` or ``import repro.runs.cli``

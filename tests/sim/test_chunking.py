@@ -10,7 +10,7 @@ The contract pinned here (see ``docs/architecture.md``):
   ``chunk_packets >= num_packets`` are bit-exact with the historical
   unchunked engine, so existing point-level cache entries stay valid;
 * a chunk fails *alone*: its siblings' results are harvested and
-  persisted, its own record is ``None`` (never garbage), no shared-memory
+  persisted, its own record is ``None`` (never garbage), no ``/dev/shm``
   segment leaks, and a resume re-runs only the missing chunks.
 """
 
@@ -284,7 +284,7 @@ class TestChunkFaultInjection:
         prototypes, rows, _ = engine._chunk_plan(
             [(SweepPoint(ebn0_db=2.0), 4, 0), (SweepPoint(ebn0_db=4.0), 4, 0)],
             16, 2)
-        records, failure = engine._execute_chunks(prototypes, rows, 0, 2)
+        records, failure = engine._execute_chunks(prototypes, rows, 2)
         assert isinstance(failure, RuntimeError)
         assert len(records) == 4
         poisoned = [record is None for record in records]
@@ -412,6 +412,116 @@ class TestChunkFaultInjection:
         resumed.run_pending(max_workers=2)
         assert resumed.is_complete
         assert resumed.merge() == reference.merge()
+
+
+# ----------------------------------------------------------------------
+# Process-pool fan-out: unchunked grids, hooks and worker failures
+# ----------------------------------------------------------------------
+class TestPoolFanOut:
+    """``max_workers`` runs are bit-identical to serial ones."""
+
+    def test_run_max_workers_4_bit_identical_to_serial(self, engine_factory,
+                                                       small_sweep_grid):
+        serial = engine_factory(seed=13).run(
+            small_sweep_grid, num_packets=8, collect_errors_per_packet=True)
+        parallel = engine_factory(seed=13).run(
+            small_sweep_grid, num_packets=8, max_workers=4,
+            collect_errors_per_packet=True)
+        assert parallel == serial
+        assert set(parallel.errors_per_packet) == set(small_sweep_grid)
+
+    def test_measure_points_parallel_matches_measure_point(self,
+                                                           engine_factory):
+        engine = engine_factory(seed=9)
+        jobs = [(SweepPoint(ebn0_db=ebn0), packets, offset)
+                for ebn0, packets, offset in
+                ((2.0, 6, 0), (4.0, 4, 0), (2.0, 3, 6), (8.0, 5, 2))]
+        parallel = engine.measure_points(jobs, payload_bits_per_packet=32,
+                                         max_workers=3)
+        serial = [engine.measure_point(point, num_packets=packets,
+                                       payload_bits_per_packet=32,
+                                       packet_offset=offset)
+                  for point, packets, offset in jobs]
+        assert parallel == serial
+
+    def test_on_result_order_preserved_with_workers(self, engine_factory,
+                                                    small_sweep_grid):
+        seen = []
+        result = engine_factory(seed=3).run(
+            small_sweep_grid, num_packets=4, max_workers=4,
+            on_result=lambda point, measurement: seen.append(point))
+        assert seen == [point for point, _ in result.entries]
+        assert seen == list(small_sweep_grid)
+
+    def test_errors_per_packet_totals_match_measurement(self, engine_factory,
+                                                        small_sweep_grid):
+        result = engine_factory(seed=6).run(
+            small_sweep_grid, num_packets=5, max_workers=2,
+            collect_errors_per_packet=True)
+        for point, measurement in result.entries:
+            errors = result.errors_per_packet[point]
+            assert len(errors) == measurement.packets_sent
+            assert sum(errors) == measurement.bit_errors
+            assert sum(1 for count in errors if count) \
+                == measurement.packets_failed
+
+    def test_no_leaked_segments_after_fan_out(self, engine_factory,
+                                              small_sweep_grid):
+        before = _shm_segments()
+        engine_factory(seed=1).run(small_sweep_grid, num_packets=2,
+                                   max_workers=4)
+        after = _shm_segments()
+        assert after <= before, f"leaked segments: {after - before}"
+
+
+def _poison_channel(rng):
+    """Module-level (picklable) channel factory that fails loudly — used
+    to make exactly the poisoned points' worker chunks die."""
+    raise RuntimeError("poisoned grid point")
+
+
+def _poison_registry():
+    from repro.sim import Scenario, default_registry
+    registry = default_registry()
+    registry.register(Scenario(name="poison", channel=_poison_channel))
+    return registry
+
+
+class TestWorkerFailureSalvage:
+    def test_completed_chunks_delivered_before_failure_raises(
+            self, engine_factory):
+        """A dying worker chunk must not discard the other chunks'
+        finished measurements: on_result sees them, then the original
+        exception propagates."""
+        engine = engine_factory(seed=2, registry=_poison_registry())
+        points = (SweepPoint(ebn0_db=2.0), SweepPoint(ebn0_db=4.0,
+                                                      scenario="poison"),
+                  SweepPoint(ebn0_db=6.0), SweepPoint(ebn0_db=8.0,
+                                                      scenario="poison"))
+        # Every point is its own chunk task; the poison scenario kills the
+        # tasks of points 1 and 3 only, independently of worker layout.
+        seen = []
+        with pytest.raises(RuntimeError, match="poisoned grid point"):
+            engine.run(points, num_packets=4, max_workers=2,
+                       on_result=lambda point, measurement: seen.append(
+                           point))
+        assert seen == [points[0], points[2]]
+
+    def test_measure_points_propagates_worker_failure(self, engine_factory):
+        engine = engine_factory(seed=2, registry=_poison_registry())
+        with pytest.raises(RuntimeError, match="poisoned grid point"):
+            engine.measure_points(
+                [(SweepPoint(ebn0_db=2.0), 2, 0),
+                 (SweepPoint(ebn0_db=4.0, scenario="poison"), 2, 0)],
+                max_workers=2)
+
+    def test_measure_points_validates_like_measure_point(self,
+                                                         engine_factory):
+        engine = engine_factory(seed=1)
+        with pytest.raises((TypeError, ValueError)):
+            engine.measure_points([(SweepPoint(ebn0_db=2.0), 10.9, 0)])
+        with pytest.raises((TypeError, ValueError)):
+            engine.measure_point(SweepPoint(ebn0_db=2.0), num_packets=10.9)
 
 
 # ----------------------------------------------------------------------

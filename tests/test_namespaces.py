@@ -33,6 +33,13 @@ def test_every_package_is_covered():
     assert len(PACKAGES) == 15
 
 
+def test_removed_shared_memory_transport_stays_removed():
+    import repro.sim
+    assert not hasattr(repro.sim, "ChunkResultBlock")
+    with pytest.raises(ModuleNotFoundError):
+        importlib.import_module("repro.sim.shm")
+
+
 @pytest.mark.parametrize("name", PACKAGES)
 def test_exports_resolve_to_their_defining_objects(name):
     package = importlib.import_module(name)
