@@ -16,12 +16,14 @@ The contract pinned here (see ``docs/architecture.md``):
 
 import glob
 import os
+import pickle
 import signal
 
 import numpy as np
 import pytest
 
 import repro.sim.engine as engine_module
+from repro.obs import Recorder
 from repro.runs import RunDriver
 from repro.sim import SweepEngine, SweepPoint, sweep_grid
 from repro.sim.engine import chunk_spans, _point_spawn_key
@@ -522,6 +524,178 @@ class TestWorkerFailureSalvage:
             engine.measure_points([(SweepPoint(ebn0_db=2.0), 10.9, 0)])
         with pytest.raises((TypeError, ValueError)):
             engine.measure_point(SweepPoint(ebn0_db=2.0), num_packets=10.9)
+
+
+# ----------------------------------------------------------------------
+# The chunk plan: prototypes and rows
+# ----------------------------------------------------------------------
+class TestChunkPlan:
+    """``_chunk_plan`` is the schedule both fan-out paths execute."""
+
+    JOBS = [(SweepPoint(ebn0_db=2.0), 5, 0), (SweepPoint(ebn0_db=4.0), 3, 0),
+            (SweepPoint(ebn0_db=2.0), 4, 5)]
+
+    def test_one_prototype_per_distinct_point(self, engine_factory):
+        prototypes, rows, job_rows = engine_factory(seed=1)._chunk_plan(
+            self.JOBS, 16, 2)
+        assert [proto.point for proto in prototypes] == [
+            SweepPoint(ebn0_db=2.0), SweepPoint(ebn0_db=4.0)]
+        # Every job's rows reference its own point's prototype.
+        for (point, _, _), indices in zip(self.JOBS, job_rows):
+            assert {prototypes[rows[i][0]].point for i in indices} == {point}
+
+    def test_rows_tile_each_job_in_offset_order(self, engine_factory):
+        _, rows, job_rows = engine_factory(seed=1)._chunk_plan(
+            self.JOBS, 16, 2)
+        for (_, num_packets, packet_offset), indices in zip(self.JOBS,
+                                                            job_rows):
+            spans = tuple((rows[i][2], rows[i][1]) for i in indices)
+            assert spans == chunk_spans(num_packets, 2, packet_offset)
+        # Rows are laid out job by job, so the job row lists partition
+        # the schedule.
+        assert [i for indices in job_rows for i in indices] \
+            == list(range(len(rows)))
+
+    def test_default_layout_plans_one_row_per_job(self, engine_factory):
+        _, rows, job_rows = engine_factory(seed=1)._chunk_plan(
+            self.JOBS, 16, None)
+        assert rows == [(0, 5, 0), (1, 3, 0), (0, 4, 5)]
+        assert job_rows == [[0], [1], [2]]
+
+    def test_empty_schedule_measures_nothing(self, engine_factory):
+        engine = engine_factory(seed=1)
+        assert engine._chunk_plan([], 16, 2) == ([], [], [])
+        assert engine.measure_points([], max_workers=2) == []
+
+    def test_schedule_validation(self, engine_factory):
+        engine = engine_factory(seed=1)
+        job = [(SweepPoint(ebn0_db=2.0), 2, 0)]
+        for kwargs in ({"payload_bits_per_packet": 0}, {"max_workers": 0},
+                       {"chunk_packets": 0}):
+            with pytest.raises(ValueError):
+                engine.measure_points(job, **kwargs)
+        with pytest.raises(ValueError, match="packet_offset"):
+            engine.measure_points([(SweepPoint(ebn0_db=2.0), 2, -1)])
+        with pytest.raises(TypeError, match="max_workers"):
+            engine.measure_points(job, max_workers=2.0)
+
+
+# ----------------------------------------------------------------------
+# What crosses the pool: pickled chunk tasks and records
+# ----------------------------------------------------------------------
+def _pool_span_count(recorder) -> int:
+    return recorder.span_stats().get("pool.run", {}).get("count", 0)
+
+
+class TestPoolTransport:
+    """Chunk tasks go out and records come back by pickling; neither
+    trip may change a result, and a task stays small."""
+
+    JOBS = [(SweepPoint(ebn0_db=2.0), 6, 0), (SweepPoint(ebn0_db=5.0), 4, 3)]
+
+    def test_pool_records_equal_serial_records_row_for_row(
+            self, engine_factory):
+        engine = engine_factory(seed=4)
+        prototypes, rows, _ = engine._chunk_plan(self.JOBS, 16, 2)
+        serial, serial_failure = engine._execute_chunks(prototypes, rows,
+                                                        None)
+        pooled, pool_failure = engine._execute_chunks(prototypes, rows, 3)
+        assert serial_failure is None and pool_failure is None
+        assert len(pooled) == len(serial) == len(rows)
+        for (measurement, errors), (expected, expected_errors) in zip(
+                pooled, serial):
+            assert measurement == expected
+            assert errors.dtype == expected_errors.dtype
+            np.testing.assert_array_equal(errors, expected_errors)
+
+    def test_record_errors_cover_exactly_the_chunk(self, engine_factory):
+        engine = engine_factory(seed=4)
+        prototypes, rows, _ = engine._chunk_plan(self.JOBS, 16, 4)
+        records, failure = engine._execute_chunks(prototypes, rows, 2)
+        assert failure is None
+        for (_, packets, _), (measurement, errors) in zip(rows, records):
+            assert measurement.packets_sent == packets
+            assert len(errors) == packets
+            assert int(np.sum(errors)) == measurement.bit_errors
+
+    @pytest.mark.parametrize("generation,backend,scenario", [
+        ("gen2", "batch", "awgn"), ("gen1", "batch", "awgn"),
+        ("gen2", "fullstack", "cm1")])
+    def test_chunk_task_pickles_small(self, engine_factory, generation,
+                                      backend, scenario):
+        # The pool pickles one task per chunk; that stays cheap only
+        # while a task carries the point's recipe, never sample buffers.
+        engine = engine_factory(seed=1, generation=generation,
+                                backend=backend)
+        prototypes, rows, _ = engine._chunk_plan(
+            [(SweepPoint(ebn0_db=2.0, scenario=scenario), 4096, 0)], 64,
+            1024)
+        for index, packets, offset in rows:
+            task = engine_module._materialize_chunk(prototypes[index],
+                                                    packets, offset)
+            assert len(pickle.dumps((task, offset))) < 2048
+
+    @pytest.mark.parametrize("ebn0_db", [-3.125, 0.1, 7.25])
+    def test_fractional_and_negative_ebn0_survive_the_pool(
+            self, engine_factory, ebn0_db):
+        engine = engine_factory(seed=5)
+        jobs = [(SweepPoint(ebn0_db=ebn0_db), 3, 0),
+                (SweepPoint(ebn0_db=ebn0_db), 3, 3)]
+        pooled = engine.measure_points(jobs, payload_bits_per_packet=16,
+                                       max_workers=2)
+        assert [m.ebn0_db for m in pooled] == [ebn0_db, ebn0_db]
+        assert pooled == [engine.measure_point(point, num_packets=packets,
+                                               payload_bits_per_packet=16,
+                                               packet_offset=offset)
+                          for point, packets, offset in jobs]
+
+    def test_pool_size_capped_at_row_count(self, engine_factory):
+        recorder = Recorder()
+        engine = engine_factory(seed=2, recorder=recorder)
+        engine.measure_points(self.JOBS, payload_bits_per_packet=16,
+                              max_workers=8, chunk_packets=3)
+        assert recorder.gauge_values()["pool.workers"] == 4
+        assert _pool_span_count(recorder) == 1
+
+    def test_single_row_never_starts_a_pool(self, engine_factory):
+        recorder = Recorder()
+        engine = engine_factory(seed=2, recorder=recorder)
+        engine.measure_points([(SweepPoint(ebn0_db=2.0), 4, 0)],
+                              max_workers=4)
+        assert _pool_span_count(recorder) == 0
+        assert "pool.workers" not in recorder.gauge_values()
+
+    def test_one_worker_runs_serially(self, engine_factory):
+        recorder = Recorder()
+        one = engine_factory(seed=2, recorder=recorder).measure_points(
+            self.JOBS, max_workers=1, chunk_packets=2)
+        assert _pool_span_count(recorder) == 0
+        assert one == engine_factory(seed=2).measure_points(
+            self.JOBS, max_workers=2, chunk_packets=2)
+
+    def test_pool_harvests_rows_after_a_failure_serial_skips_them(
+            self, engine_factory, chunk_hook):
+        chunk_hook(_poison(2.0, 0))
+        engine = engine_factory(seed=3)
+        prototypes, rows, _ = engine._chunk_plan(self.JOBS, 16, 2)
+        pooled, pool_failure = engine._execute_chunks(prototypes, rows, 2)
+        serial, serial_failure = engine._execute_chunks(prototypes, rows,
+                                                        None)
+        assert isinstance(pool_failure, RuntimeError)
+        assert isinstance(serial_failure, RuntimeError)
+        assert pooled[0] is None and all(pooled[1:])
+        assert serial == [None] * len(rows)
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_chunked_run_bit_identical_to_serial_for_any_worker_count(
+            self, engine_factory, small_sweep_grid, workers):
+        serial = engine_factory(seed=11).run(
+            small_sweep_grid, num_packets=6, chunk_packets=4,
+            collect_errors_per_packet=True)
+        parallel = engine_factory(seed=11).run(
+            small_sweep_grid, num_packets=6, chunk_packets=4,
+            max_workers=workers, collect_errors_per_packet=True)
+        assert parallel == serial
 
 
 # ----------------------------------------------------------------------
